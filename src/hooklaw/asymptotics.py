@@ -65,17 +65,37 @@ def saddle_b(d: float, cutoff: int | None = None) -> float:
     if d <= 0:
         raise ValueError(f"saddle parameter must be positive, got {d}")
     if cutoff is None:
-        cutoff = default_cutoff(d)
+        cutoff = _saddle_b_cutoff(d)
     j = np.arange(1, cutoff + 1, dtype=float)
     x = np.exp(-j * d)
     om = 1.0 - x
     value = float(np.sum(j * j * x / (om * om)))
+    _check_tail(_saddle_b_tail(d, cutoff), value, "saddle_b")
+    return value
+
+
+def _saddle_b_tail(d: float, cutoff: int) -> float:
+    # integral bound on sum_{j>J} j^2 x^j, times the (1 - x)^-2 that bounds
+    # 1 / (1 - x^j)^2
     tail = math.exp(-d * cutoff) * (
         cutoff * cutoff / d + 2.0 * cutoff / (d * d) + 2.0 / (d**3)
     )
-    tail /= (-math.expm1(-d)) ** 2
-    _check_tail(tail, value, "saddle_b")
-    return value
+    return tail / (-math.expm1(-d)) ** 2
+
+
+def _saddle_b_cutoff(d: float) -> int:
+    """default_cutoff(d), unless its tail bound fails against the lower
+    bound sum_j j^2 x^j = x (1 + x) / (1 - x)^3 of b.
+
+    At the fixed cutoff the relative tail grows like d^-2 and passes 1e-12
+    below d ~ 3e-3 (n ~ 2e5); adding 2 log(1/d) / d to the cutoff
+    multiplies the tail by d^2 and cancels that growth.
+    """
+    cutoff = default_cutoff(d)
+    x = math.exp(-d)
+    if _saddle_b_tail(d, cutoff) > _TAIL_RTOL * x * (1.0 + x) / (-math.expm1(-d)) ** 3:
+        cutoff = int((_CUTOFF_SCALE + 2.0 * math.log(1.0 / d)) / d) + 1
+    return cutoff
 
 
 @dataclass(frozen=True)
@@ -116,9 +136,9 @@ def solve_saddle(n: int, rtol: float = 1e-10) -> SaddleSolution:
             break
     a_val = saddle_a(d)
     b_val = saddle_b(d)
-    sol = SaddleSolution(n=n, d_n=d, a_val=a_val, b_val=b_val, residual=abs(a_val - n))
-    assert sol.d_n > 0 and sol.b_val > 0
-    return sol
+    if not (d > 0 and b_val > 0):
+        raise RuntimeError(f"saddle at n={n} left the domain: d={d}, b={b_val}")
+    return SaddleSolution(n=n, d_n=d, a_val=a_val, b_val=b_val, residual=abs(a_val - n))
 
 
 def d_n_expansion(n: int) -> float:

@@ -168,6 +168,12 @@ class ExactHookDistribution:
         return Fraction(total, self.total)
 
 
+def _check_mass(dist: ExactHookDistribution) -> None:
+    mass = sum(dist.weights.values())
+    if mass != dist.total:
+        raise RuntimeError(f"hook law at n={dist.n} has mass {mass} != n p(n) = {dist.total}")
+
+
 def exact_hook_distribution(n: int, cap: int = ENUMERATION_CAP) -> ExactHookDistribution:
     """Hook-length law by brute force over every (partition, cell) pair."""
     if n < 1:
@@ -178,7 +184,7 @@ def exact_hook_distribution(n: int, cap: int = ENUMERATION_CAP) -> ExactHookDist
     for p in iter_partitions(n):
         weights.update(_hooks(p))
     dist = ExactHookDistribution(n, dict(weights))
-    assert sum(weights.values()) == dist.total
+    _check_mass(dist)
     return dist
 
 
@@ -202,14 +208,14 @@ def hook_distribution_via_part_counts(n: int) -> ExactHookDistribution:
             jk += k
         weights[k] = k * acc
     dist = ExactHookDistribution(n, weights)
-    assert sum(weights.values()) == dist.total
+    _check_mass(dist)
     return dist
 
 
 def tableaux_count(p: Partition) -> int:
     """Number of standard fillings of the diagram: n! over the product of
     all hook lengths.  The division is exact; a nonzero remainder would mean
-    the hook computation is broken, so it is asserted."""
+    the hook computation is broken, so it raises."""
     if not p.parts:
         raise ValueError("tableaux_count requires a nonempty partition")
     prod = 1

@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .asymptotics import ZETA2, limit_shape, zeta
+from .errors import ToleranceError
 from .partitions import Partition
 
 SIX_OVER_PI2 = 6.0 / math.pi**2
@@ -59,7 +60,8 @@ def cdf(y: float) -> float:
     knext = kmax + 1.0
     tail = math.exp(-knext * y) * (y / knext + 1.0 / (knext * knext))
     tail /= -math.expm1(-y)
-    assert tail <= 1e-12, f"cdf tail bound {tail} not below 1e-12 at y={y}"
+    if not tail <= 1e-12:
+        raise ToleranceError(f"cdf tail bound {tail:.3e} not below 1e-12 at y={y}")
     return 1.0 - SIX_OVER_PI2 * remainder
 
 

@@ -1,7 +1,8 @@
 """Uniform random partitions, uniform random cells, and hook observations.
 
-Two interchangeable partition samplers produce the exact uniform law on the
-partitions of n:
+Two interchangeable partition samplers draw from the uniform law on the
+partitions of n, the first exactly, the second up to two stated
+approximations:
 
 * ``exact-recursive`` — the table-driven pair recursion: draw a (part d,
   repetition j) pair with probability d * p(m - j*d) / (m * p(m)), append j
@@ -13,6 +14,9 @@ partitions of n:
   success parameter 1 - w^j at w = exp(-pi / sqrt(6 n)), accepted only when
   sum j*l_j hits n exactly.  Conditioned on acceptance the law is uniform
   for every w; this w maximizes the acceptance rate at leading order.
+  Two approximations stand between this and the exact law: each l_j is
+  drawn by float inversion of a double uniform, and multiplicities whose
+  chance of being nonzero is below 2^-64 are pinned to 0.
 
 Randomness comes from counter-based streams keyed by (seed, trial index),
 so worker processes reproduce the serial observation sequence exactly no
@@ -35,7 +39,7 @@ import numpy as np
 
 from .errors import ResourceError
 from .exact import partition_counts
-from .partitions import Cell, Partition
+from .partitions import Cell, Partition, hook_length
 
 log = logging.getLogger(__name__)
 
@@ -138,14 +142,10 @@ class _ExactRecursiveSampler:
     sigma(q) * p(m - q) (sigma = divisor sum), then d is picked among the
     divisors of q with weight d; this is exactly the (d, j) pair law above.
 
-    Locating q under the exact cumulative would cost q big-integer terms
-    per step, which is Theta(m) per draw.  Instead q is drawn from a
-    piecewise-constant envelope: within a block of ~sqrt(m) consecutive q
-    the factor p(m - q) is replaced by its value at the block start, whose
-    blockwise cumulative needs one multiply per block (using prefix sums of
-    sigma), and the draw is then accepted with the exact big-integer ratio
-    p(m - q) / p(block start).  The accepted law is exactly the target; the
-    envelope totals are cached per remainder m and amortize across draws.
+    The weights of q sum to m * p(m), so q is located by inverse CDF: a
+    uniform big integer below m * p(m) against the cumulative weights,
+    walked from q = 1.  The drawn q sum to n, so a draw costs exactly n
+    big-integer multiply-adds; only the divisor lists of drawn q are kept.
     """
 
     def __init__(self, n: int, ptable: list[int] | None = None):
@@ -159,8 +159,6 @@ class _ExactRecursiveSampler:
         for d in range(1, n + 1):
             sigma[d::d] += d
         self.sigma = sigma.tolist()
-        self.sigma_prefix = [0, *accumulate(self.sigma[1:])]
-        self._envelopes: dict[int, tuple[int, int]] = {}
         self._divisors: dict[int, list[int]] = {}
 
     def _divisor_list(self, q: int) -> list[int]:
@@ -171,62 +169,20 @@ class _ExactRecursiveSampler:
             self._divisors[q] = dv
         return dv
 
-    def _envelope(self, m: int) -> tuple[int, int]:
-        ent = self._envelopes.get(m)
-        if ent is None:
-            block = max(1, isqrt(m))
-            p = self.p
-            prefix = self.sigma_prefix
-            total = 0
-            start = 0
-            while start < m:
-                hi = min(start + block, m)
-                total += p[m - start - 1] * (prefix[hi] - prefix[start])
-                start = hi
-            ent = (block, total)
-            self._envelopes[m] = ent
-        return ent
-
     def draw(self, rng: np.random.Generator) -> Partition:
         bits = _BitStream(rng, words=min(4096, max(64, self.n // 16)))
         below = bits.below
         p = self.p
-        prefix = self.sigma_prefix
         sigma = self.sigma
         counts: dict[int, int] = {}
         m = self.n
         while m > 0:
-            block, total = self._envelope(m)
-            while True:
-                u = below(total)
-                # walk blocks until the envelope cumulative passes u
-                start = 0
-                acc = 0
-                while True:
-                    hi = start + block
-                    if hi > m:
-                        hi = m
-                    cap = p[m - start - 1]
-                    bulk = cap * (prefix[hi] - prefix[start])
-                    nxt = acc + bulk
-                    if nxt > u:
-                        break
-                    acc = nxt
-                    start = hi
-                # binary search inside the block on the sigma prefix
-                r = u - acc
-                base = prefix[start]
-                lo_q, hi_q = start, hi
-                while lo_q + 1 < hi_q:
-                    mid = (lo_q + hi_q) >> 1
-                    if cap * (prefix[mid] - base) > r:
-                        hi_q = mid
-                    else:
-                        lo_q = mid
-                q = hi_q
-                if q == start + 1:
-                    break  # envelope is exact at the block start
-                if below(cap) < p[m - q]:
+            # sum_q sigma(q) p(m - q) = m p(m): walk the cumulative past u
+            u = below(m * p[m])
+            acc = 0
+            for q in range(1, m + 1):
+                acc += sigma[q] * p[m - q]
+                if acc > u:
                     break
             # pick the divisor d of q with weight d; repetition j = q // d
             sq = sigma[q]
@@ -290,7 +246,8 @@ class _FristedtSampler:
                 parts: list[int] = []
                 for idx in nz[::-1]:
                     parts.extend([int(idx) + 1] * int(row[idx]))
-                assert sum(parts) == n
+                if sum(parts) != n:
+                    raise RuntimeError(f"accepted fristedt draw does not sum to n={n}")
                 return Partition(tuple(parts))
             self.trials += self._BATCH
         raise ResourceError(
@@ -329,20 +286,6 @@ def sample_cell(p: Partition, rng: np.random.Generator) -> Cell:
     return cell_from_index(p, int(rng.integers(1, n + 1)))
 
 
-def _hook_of_cell(p: Partition, c: Cell) -> int:
-    # inline hook with a bisect for the column height; parts are descending
-    parts = p.parts
-    t, s = c
-    lo, hi = 0, len(parts)
-    while lo < hi:
-        mid = (lo + hi) >> 1
-        if parts[mid] >= s:
-            lo = mid + 1
-        else:
-            hi = mid
-    return parts[t - 1] - s + lo - t + 1
-
-
 def observe_hook(cfg: SamplerConfig, trial: int, sampler=None) -> HookObservation:
     """Run the two-step experiment for one trial index."""
     if sampler is None:
@@ -350,7 +293,7 @@ def observe_hook(cfg: SamplerConfig, trial: int, sampler=None) -> HookObservatio
     rng = stream(cfg.seed, trial)
     p = sampler.draw(rng)
     c = sample_cell(p, rng)
-    hook = _hook_of_cell(p, c)
+    hook = hook_length(p, c)
     return HookObservation(n=cfg.n, hook=hook, scaled=scale_hook(hook, cfg.n))
 
 
@@ -358,17 +301,9 @@ def scale_hook(hook: int, n: int) -> float:
     return math.pi * hook / math.sqrt(6.0 * n)
 
 
-# worker-process state: set in the parent before forking so that children
-# inherit the prepared sampler (and its tables) copy-on-write
-_SHARED: tuple[SamplerConfig, object] | None = None
-
-
 def _run_block(args: tuple[SamplerConfig, int, int]) -> list[int]:
     cfg, lo, hi = args
-    global _SHARED
-    if _SHARED is None or _SHARED[0] != cfg:
-        _SHARED = (cfg, make_sampler(cfg))
-    sampler = _SHARED[1]
+    sampler = _sampler_for(cfg)
     hooks = []
     for trial in range(lo, hi):
         hooks.append(observe_hook(cfg, trial, sampler).hook)
@@ -377,16 +312,17 @@ def _run_block(args: tuple[SamplerConfig, int, int]) -> list[int]:
 
 def sample_hooks(cfg: SamplerConfig, count: int, threads: int = 1) -> list[HookObservation]:
     """count independent observations of the pair experiment, in trial
-    order.  The result is identical for every thread count."""
+    order.  The result is identical for every thread count, which is
+    capped at the CPU count."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    threads = max(1, min(threads, count))
+    threads = max(1, min(threads, count, os.cpu_count() or 1))
+    # built before forking, so worker processes inherit the cached sampler
+    # (and its tables) copy-on-write
+    sampler = _sampler_for(cfg)
     if threads == 1:
-        sampler = _sampler_for(cfg)
         return [observe_hook(cfg, trial, sampler) for trial in range(count)]
 
-    global _SHARED
-    _SHARED = (cfg, _sampler_for(cfg))
     blocks = []
     base, extra = divmod(count, threads)
     lo = 0

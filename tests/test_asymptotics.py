@@ -80,6 +80,15 @@ def test_solve_saddle_residuals():
         assert sol.a_val == pytest.approx(n, rel=1e-8)
 
 
+@pytest.mark.parametrize("n", [3 * 10**5, 10**6, 10**7])
+def test_solve_saddle_certified_at_large_n(n):
+    # the fixed 46/d cutoff no longer certified saddle_b's tail here
+    sol = solve_saddle(n)
+    assert sol.residual <= 1e-8 * n
+    assert abs(sol.d_n / d_n_expansion(n) - 1.0) <= 1.0 / n
+    assert abs(log_hayman_pn_estimate(n) - log_hardy_ramanujan(n)) <= 1.0 / math.sqrt(n)
+
+
 def test_solve_saddle_monotone_in_n():
     ds = [solve_saddle(n).d_n for n in (10, 30, 100, 300, 1000)]
     assert all(a > b for a, b in zip(ds, ds[1:]))

@@ -70,12 +70,12 @@ def test_uniformity_chisq(n, algorithm):
     assert _uniform_chisq_pvalue(n, algorithm, 20000) > 0.001
 
 
-def test_exact_sampler_matches_hook_law_at_n100():
-    # n = 100 exercises the blocked-envelope path; the reference law comes
-    # from the counting table, not from sampling
-    n, count = 100, 40000
+@pytest.mark.parametrize("n", [100, 1000])
+def test_exact_sampler_matches_hook_law(n):
+    # the reference law comes from the counting table, not from sampling
+    count = 40000
     cfg = SamplerConfig(n=n, algorithm=EXACT_RECURSIVE, seed=SEED)
-    obs = sample_hooks(cfg, count)
+    obs = sample_hooks(cfg, count, threads=2)
     freq = Counter(o.hook for o in obs)
     dist = hook_distribution_via_part_counts(n)
     total = dist.total
@@ -107,14 +107,17 @@ def test_two_algorithms_agree_at_n30():
         assert abs(p1 - p2) <= 3 * sigma + 1e-12, f"bin {k}: {p1} vs {p2}"
 
 
-def test_inline_hook_matches_public_hook():
+def test_hook_length_matches_arm_leg_count():
+    # the kernel observe_hook uses, against a direct count: the arm is the
+    # cells right of c in its row, the leg the rows above t reaching column s
     from hooklaw.partitions import cells, hook_length
-    from hooklaw.sampling import _hook_of_cell
 
     for trial in range(20):
         p = sample_partition(SamplerConfig(n=60, seed=8), stream(8, trial))
-        for c in cells(p):
-            assert _hook_of_cell(p, c) == hook_length(p, c)
+        for t, s in cells(p):
+            arm = p.parts[t - 1] - s
+            leg = sum(1 for row in p.parts[t:] if row >= s)
+            assert hook_length(p, Cell(t, s)) == arm + leg + 1
 
 
 def test_cell_index_map():
@@ -172,6 +175,34 @@ def test_thread_independence():
     a = sample_hooks(SamplerConfig(n=150, seed=5), 301, threads=1)
     b = sample_hooks(SamplerConfig(n=150, seed=5), 301, threads=2)
     assert a == b
+
+
+def test_worker_count_capped_at_cpu_count(monkeypatch):
+    # a fake pool records the worker count and maps inline: no process starts
+    import concurrent.futures
+    import os
+
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers, mp_context=None):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    cfg = SamplerConfig(n=40, seed=4)
+    obs = sample_hooks(cfg, 10, threads=10**6)
+    assert started == [3]
+    assert obs == sample_hooks(cfg, 10, threads=1)
 
 
 def test_algorithms_share_the_stream_contract():
