@@ -143,10 +143,21 @@ class _ExactRecursiveSampler:
     divisors of q with weight d; this is exactly the (d, j) pair law above.
 
     The weights of q sum to m * p(m), so q is located by inverse CDF: a
-    uniform big integer below m * p(m) against the cumulative weights,
-    walked from q = 1.  The drawn q sum to n, so a draw costs exactly n
-    big-integer multiply-adds; only the divisor lists of drawn q are kept.
+    uniform big integer u below m * p(m) against the cumulative weights,
+    walked from q = 1.  The walk first runs in floats, vectorized over
+    blocks of q; it answers only when u / (m p(m)) clears both ends of its
+    interval by _SLACK, which bounds the float error with a wide margin.
+    Otherwise, and at small m, the walk runs in exact big integers.  Both
+    walks give the same q for the same u, so the law is exact and the
+    output does not depend on which walk answered.
     """
+
+    # at or below this remainder the exact walk is cheaper than numpy calls
+    _EXACT_WALK_MAX = 128
+    # the float tables are exps of arguments below ~1e3 in size, within
+    # ~1e-11 relative of exact, so each float cumulative over m p(m) is
+    # within 1e-11 + q 2^-52 of the exact one
+    _SLACK = 1e-9
 
     def __init__(self, n: int, ptable: list[int] | None = None):
         self.n = n
@@ -159,6 +170,17 @@ class _ExactRecursiveSampler:
         for d in range(1, n + 1):
             sigma[d::d] += d
         self.sigma = sigma.tolist()
+        # float walk tables, scaled by exp(-beta k) to stay in range:
+        # sigma(q) p(m - q) = e^(beta m) sigma_scaled[q] p_rev[n - m + q],
+        # with p_rev reversed so that both slices of a walk are contiguous
+        log_p = np.array([math.log(v) for v in ptable[: n + 1]])
+        beta = log_p[n] / max(n, 1)
+        k = np.arange(n + 1)
+        with np.errstate(over="ignore", under="ignore"):
+            self._p_rev = np.exp(log_p - beta * k)[::-1].copy()
+            self._sigma_scaled = sigma * np.exp(-beta * k)
+        if not np.isfinite(self._p_rev).all():
+            self._p_rev = None  # out of float range (n past ~1e6)
         self._divisors: dict[int, list[int]] = {}
 
     def _divisor_list(self, q: int) -> list[int]:
@@ -169,6 +191,28 @@ class _ExactRecursiveSampler:
             self._divisors[q] = dv
         return dv
 
+    def _float_walk(self, m: int, x: float) -> int:
+        """The q whose float cumulative interval holds x with the slack to
+        spare at both ends, else 0."""
+        p_rev, sigma_scaled = self._p_rev, self._sigma_scaled
+        off = self.n - m
+        total = m * float(p_rev[off])
+        rest = x * total  # the target, less the cumulative of earlier blocks
+        slack = (self._SLACK + m * 1e-15) * total
+        lo = 0
+        width = 4 * isqrt(m) + 16
+        while lo < m:
+            hi = min(m, lo + width)
+            cum = np.add.accumulate(sigma_scaled[lo + 1 : hi + 1] * p_rev[off + lo + 1 : off + hi + 1])
+            i = int(cum.searchsorted(rest, side="right"))
+            if i < hi - lo:
+                left = float(cum[i - 1]) if i else 0.0
+                return lo + i + 1 if left + slack <= rest < float(cum[i]) - slack else 0
+            rest -= float(cum[-1])
+            lo = hi
+            width *= 2
+        return 0
+
     def draw(self, rng: np.random.Generator) -> Partition:
         bits = _BitStream(rng, words=min(4096, max(64, self.n // 16)))
         below = bits.below
@@ -178,12 +222,17 @@ class _ExactRecursiveSampler:
         m = self.n
         while m > 0:
             # sum_q sigma(q) p(m - q) = m p(m): walk the cumulative past u
-            u = below(m * p[m])
-            acc = 0
-            for q in range(1, m + 1):
-                acc += sigma[q] * p[m - q]
-                if acc > u:
-                    break
+            total = m * p[m]
+            u = below(total)
+            q = 0
+            if m > self._EXACT_WALK_MAX and self._p_rev is not None:
+                q = self._float_walk(m, u / total)
+            if not q:
+                acc = 0
+                for q in range(1, m + 1):
+                    acc += sigma[q] * p[m - q]
+                    if acc > u:
+                        break
             # pick the divisor d of q with weight d; repetition j = q // d
             sq = sigma[q]
             w = below(sq) if sq > 1 else 0

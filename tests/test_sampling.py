@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -11,6 +12,7 @@ from hooklaw.sampling import (
     EXACT_RECURSIVE,
     FRISTEDT_REJECTION,
     SamplerConfig,
+    _ExactRecursiveSampler,
     _FristedtSampler,
     cell_from_index,
     default_algorithm,
@@ -241,3 +243,36 @@ def test_fristedt_large_n_conditioning():
 def test_exact_sampler_rejects_short_table():
     with pytest.raises(ValueError, match="table too short"):
         make_sampler(SamplerConfig(n=50), ptable=partition_counts(10))
+
+
+def _exact_walk(sampler, m, u):
+    acc = 0
+    for q in range(1, m + 1):
+        acc += sampler.sigma[q] * sampler.p[m - q]
+        if acc > u:
+            return q
+
+
+def test_float_walk_agrees_with_exact_walk():
+    n = 3000
+    p = partition_counts(n)
+    sampler = _ExactRecursiveSampler(n, p)
+    rnd = random.Random(SEED)
+    answered = 0
+    for _ in range(400):
+        m = rnd.randint(sampler._EXACT_WALK_MAX + 1, n)
+        total = m * p[m]
+        u = rnd.randrange(total)
+        q = sampler._float_walk(m, u / total)
+        if q:
+            answered += 1
+            assert q == _exact_walk(sampler, m, u)
+    assert answered >= 398
+    # u on an exact cumulative boundary lies within the slack: the float
+    # walk declines and leaves the draw to the exact walk
+    m = 2500
+    total = m * p[m]
+    for q0 in (1, 7, 60):
+        boundary = sum(sampler.sigma[q] * p[m - q] for q in range(1, q0 + 1))
+        assert _exact_walk(sampler, m, boundary) == q0 + 1
+        assert sampler._float_walk(m, boundary / total) == 0
