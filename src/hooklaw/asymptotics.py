@@ -20,6 +20,8 @@ _TAIL_RTOL = 1e-12
 # exp(-46) ~ 1e-20 leaves the integral-comparison tail bounds comfortably
 # below the relative target at every n of interest
 _CUTOFF_SCALE = 46.0
+# Newton steps stop once they move d by less than this fraction of d
+_SADDLE_RTOL = 1e-10
 
 
 def default_cutoff(d: float) -> int:
@@ -34,7 +36,7 @@ def _check_tail(tail: float, value: float, what: str) -> None:
         )
 
 
-def saddle_a(d: float, cutoff: int | None = None) -> float:
+def saddle_a(d: float) -> float:
     """The logarithmic-derivative sum a(e^(-d)) = sum_j j x^j / (1 - x^j).
 
     Strictly decreasing in d.  The tail beyond the cutoff is bounded by
@@ -43,8 +45,7 @@ def saddle_a(d: float, cutoff: int | None = None) -> float:
     """
     if d <= 0:
         raise ValueError(f"saddle parameter must be positive, got {d}")
-    if cutoff is None:
-        cutoff = default_cutoff(d)
+    cutoff = default_cutoff(d)
     j = np.arange(1, cutoff + 1, dtype=float)
     x = np.exp(-j * d)
     value = float(np.sum(j * x / (1.0 - x)))
@@ -56,7 +57,7 @@ def saddle_a(d: float, cutoff: int | None = None) -> float:
     return value
 
 
-def saddle_b(d: float, cutoff: int | None = None) -> float:
+def saddle_b(d: float) -> float:
     """The variance-like sum b(e^(-d)) = sum_j j^2 x^j / (1 - x^j)^2.
 
     Equals minus the derivative of saddle_a with respect to d, which the
@@ -64,8 +65,7 @@ def saddle_b(d: float, cutoff: int | None = None) -> float:
     """
     if d <= 0:
         raise ValueError(f"saddle parameter must be positive, got {d}")
-    if cutoff is None:
-        cutoff = _saddle_b_cutoff(d)
+    cutoff = _saddle_b_cutoff(d)
     j = np.arange(1, cutoff + 1, dtype=float)
     x = np.exp(-j * d)
     om = 1.0 - x
@@ -109,7 +109,7 @@ class SaddleSolution:
     residual: float
 
 
-def solve_saddle(n: int, rtol: float = 1e-10) -> SaddleSolution:
+def solve_saddle(n: int) -> SaddleSolution:
     """Root of a(e^(-d)) = n: geometric bisection to a tight bracket, then
     Newton refinement using a'(d) = -b(d).
 
@@ -132,7 +132,7 @@ def solve_saddle(n: int, rtol: float = 1e-10) -> SaddleSolution:
         f = saddle_a(d) - n
         step = f / saddle_b(d)
         d += step
-        if abs(step) <= rtol * d:
+        if abs(step) <= _SADDLE_RTOL * d:
             break
     a_val = saddle_a(d)
     b_val = saddle_b(d)
@@ -155,25 +155,12 @@ def log_hardy_ramanujan(n: int) -> float:
     return math.pi * math.sqrt(2 * n / 3) - math.log(4 * n * math.sqrt(3))
 
 
-def hardy_ramanujan(n: int) -> float:
-    """The classical first-order estimate of the partition count, as a float.
-
-    Overflows to inf for n beyond roughly 7.6e4; use log_hardy_ramanujan
-    for ratios at large n.
-    """
-    try:
-        return math.exp(log_hardy_ramanujan(n))
-    except OverflowError:
-        return math.inf
-
-
-def log_euler_product(d: float, cutoff: int | None = None) -> float:
+def log_euler_product(d: float) -> float:
     """log of the partition generating function at x = e^(-d):
     -sum_j log(1 - x^j), truncated with a certified tail."""
     if d <= 0:
         raise ValueError(f"saddle parameter must be positive, got {d}")
-    if cutoff is None:
-        cutoff = default_cutoff(d)
+    cutoff = default_cutoff(d)
     j = np.arange(1, cutoff + 1, dtype=float)
     value = float(-np.sum(np.log1p(-np.exp(-j * d))))
     # -log(1-y) <= y/(1-y); geometric sum of x^j beyond the cutoff
@@ -193,20 +180,12 @@ def _log_euler_product_expansion(d: float) -> float:
     return ZETA2 / d + 0.5 * math.log(d) - 0.5 * math.log(2 * math.pi)
 
 
-def log_hayman_pn_estimate(n: int, cutoff: int | None = None) -> float:
+def log_hayman_pn_estimate(n: int) -> float:
     """log of the saddle-point coefficient estimate
     exp(n d) g(e^(-d)) / sqrt(2 pi b(e^(-d))) at the solved saddle."""
     sol = solve_saddle(n)
     d = sol.d_n
-    return n * d + log_euler_product(d, cutoff) - 0.5 * math.log(2 * math.pi * sol.b_val)
-
-
-def hayman_pn_estimate(n: int, cutoff: int | None = None) -> float:
-    """Saddle-point estimate of the partition count; inf if it overflows."""
-    try:
-        return math.exp(log_hayman_pn_estimate(n, cutoff))
-    except OverflowError:
-        return math.inf
+    return n * d + log_euler_product(d) - 0.5 * math.log(2 * math.pi * sol.b_val)
 
 
 # Bernoulli numbers B_2, B_4, B_6, B_8 for the Euler-Maclaurin tail

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import __version__, asymptotics, exact, limitlaw, sampling, series, verify
+from . import __version__, asymptotics, exact, limitlaw, sampling, series
 from .errors import ResourceError, ToleranceError
 
 EXACT_PN_CAP = 50_000  # beyond this the exact count is omitted from `asym`
@@ -29,7 +29,7 @@ def _float_repr(x: float) -> str:
     if math.isnan(x):
         return "NaN"
     if math.isinf(x):
-        return "null"  # JSON has no infinity; the log-domain field remains
+        return "null"  # JSON has no infinity
     return f"{x:.12g}"
 
 
@@ -144,7 +144,7 @@ def cmd_gf_check(args) -> int:
     mismatch = False
     for n in range(1, deg + 1):
         pn = exact.partition_count(n)
-        coeff = product.coefficient(n)
+        coeff = product.coeffs[n]
         checks = []
         if args.m == 1:
             checks.append(coeff == n * pn)
@@ -178,8 +178,6 @@ def cmd_asym(args) -> int:
         "b_over_n32": sol.b_val / n**1.5,
         "log_hr": log_hr,
         "log_hayman": log_hay,
-        "hr": asymptotics.hardy_ramanujan(n),
-        "hayman": asymptotics.hayman_pn_estimate(n),
         "hayman_over_hr": math.exp(log_hay - log_hr),
     }
     if n <= EXACT_PN_CAP:
@@ -287,6 +285,8 @@ def cmd_limit(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify  # loads scipy, which no other subcommand needs
+
     threads = sampling.resolve_threads(args.threads)
     return verify.verify_all(args.level, threads)
 

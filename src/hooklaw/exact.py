@@ -174,12 +174,12 @@ def _check_mass(dist: ExactHookDistribution) -> None:
         raise RuntimeError(f"hook law at n={dist.n} has mass {mass} != n p(n) = {dist.total}")
 
 
-def exact_hook_distribution(n: int, cap: int = ENUMERATION_CAP) -> ExactHookDistribution:
+def exact_hook_distribution(n: int) -> ExactHookDistribution:
     """Hook-length law by brute force over every (partition, cell) pair."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > cap:
-        raise ResourceError(f"n={n} exceeds the enumeration cap {cap}")
+    if n > ENUMERATION_CAP:
+        raise ResourceError(f"n={n} exceeds the enumeration cap {ENUMERATION_CAP}")
     weights: Counter[int] = Counter()
     for p in iter_partitions(n):
         weights.update(_hooks(p))

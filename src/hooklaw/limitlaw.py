@@ -22,6 +22,9 @@ from .partitions import Partition
 
 SIX_OVER_PI2 = 6.0 / math.pi**2
 LIMIT_MEAN = 12.0 * zeta(3) / math.pi**2  # ~ 1.4616
+_QUANTILE_RTOL = 1e-12
+# ends of the log-spaced shape grid; s(t) spans ~2.2 down to ~3e-5 here
+SHAPE_LO, SHAPE_HI = 0.05, 8.0
 
 
 def density(u: float) -> float:
@@ -72,13 +75,13 @@ def limit_moment(m: int) -> float:
     return math.factorial(m + 1) * zeta(m + 2) / ZETA2
 
 
-def quantile(prob: float, tol: float = 1e-12) -> float:
+def quantile(prob: float) -> float:
     """Inverse CDF by bisection; the bracket [0, 120] covers all of (0, 1)
     doubles since 1 - cdf(120) underflows."""
     if not 0.0 < prob < 1.0:
         raise ValueError(f"quantile needs a probability in (0,1), got {prob}")
     lo, hi = 0.0, 120.0
-    while hi - lo > tol * max(1.0, lo):
+    while hi - lo > _QUANTILE_RTOL * max(1.0, lo):
         mid = 0.5 * (lo + hi)
         if cdf(mid) < prob:
             lo = mid
@@ -134,13 +137,10 @@ def ks_statistic(sample: Sequence[float], n: int | None = None) -> GofReport:
     )
 
 
-DEFAULT_GRID = (0.05, 8.0, 400)
-
-
-def shape_grid(lo: float = 0.05, hi: float = 8.0, points: int = 400) -> np.ndarray:
-    """Log-spaced abscissas on which diagram profiles are compared to the
-    limit curve; s(t) spans ~2.2 down to ~3e-5 over the default range."""
-    return np.geomspace(lo, hi, points)
+def shape_grid(points: int = 400) -> np.ndarray:
+    """Log-spaced abscissas from SHAPE_LO to SHAPE_HI on which diagram
+    profiles are compared to the limit curve."""
+    return np.geomspace(SHAPE_LO, SHAPE_HI, points)
 
 
 def shape_distance(p: Partition, grid: np.ndarray | None = None) -> float:
@@ -149,7 +149,7 @@ def shape_distance(p: Partition, grid: np.ndarray | None = None) -> float:
     if p.n < 1:
         raise ValueError("shape_distance requires a nonempty partition")
     if grid is None:
-        grid = shape_grid(*DEFAULT_GRID)
+        grid = shape_grid()
     root = math.sqrt(p.n)
     parts_asc = np.asarray(p.parts[::-1], dtype=float)
     # profile(t') = number of parts >= t' for t' = t * sqrt(n)

@@ -105,7 +105,7 @@ class _BitStream:
 
     _REFILL_WORDS = 2048
 
-    def __init__(self, rng: np.random.Generator, words: int = 512):
+    def __init__(self, rng: np.random.Generator, words: int):
         self.rng = rng
         self.buf = rng.integers(0, 1 << 64, size=words, dtype=np.uint64).tobytes()
         self.size = len(self.buf)

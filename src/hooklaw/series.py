@@ -11,15 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exact import partition_count
-
 
 @dataclass(frozen=True)
 class TruncatedSeries:
     """Coefficients a_0..a_N of a power series, exact modulo x^(N+1).
 
-    Arithmetic keeps the weaker of the two truncation degrees, so a result
-    never claims coefficients that were not fully determined.
+    A product keeps the weaker of the two truncation degrees, so it never
+    claims coefficients that were not fully determined.
     """
 
     coeffs: tuple[int, ...]
@@ -28,28 +26,8 @@ class TruncatedSeries:
         if not self.coeffs:
             raise ValueError("a truncated series needs at least the constant term")
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coefficient(self, k: int) -> int:
-        if not 0 <= k <= self.degree:
-            raise ValueError(f"coefficient {k} outside truncation degree {self.degree}")
-        return self.coeffs[k]
-
-    def truncate(self, degree: int) -> "TruncatedSeries":
-        if degree > self.degree:
-            raise ValueError(f"cannot extend truncation {self.degree} to {degree}")
-        return TruncatedSeries(self.coeffs[: degree + 1])
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        deg = min(self.degree, other.degree)
-        return TruncatedSeries(
-            tuple(a + b for a, b in zip(self.coeffs[: deg + 1], other.coeffs[: deg + 1]))
-        )
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        deg = min(self.degree, other.degree)
+        deg = min(len(self.coeffs), len(other.coeffs)) - 1
         a = self.coeffs
         b = other.coeffs
         out = [0] * (deg + 1)
@@ -112,8 +90,3 @@ def moment_coefficient(m: int, n: int, degree: int | None = None) -> int:
     f = f_m_series(m, degree).coeffs
     return sum(f[k] * g[n - k] for k in range(1, n + 1))
 
-
-def euler_coefficients_match_counts(degree: int) -> bool:
-    """Cross-check the series route against the counting recurrence."""
-    g = euler_series(degree)
-    return all(g.coefficient(n) == partition_count(n) for n in range(degree + 1))

@@ -70,7 +70,7 @@ def check_series_moment_oracle(threads: int, quick: bool) -> tuple[bool, str]:
     deg = 300 if quick else 2000
     product = series.euler_series(deg) * series.f_m_series(1, deg)
     for n in range(1, deg + 1):
-        if product.coefficient(n) != n * exact.partition_count(n):
+        if product.coeffs[n] != n * exact.partition_count(n):
             return False, f"[x^{n}](g*F_1) != n p(n)"
     return True, f"enumeration match to n={nmax}, m<=4; n p(n) identity to n={deg}"
 

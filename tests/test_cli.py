@@ -78,6 +78,23 @@ def test_asym_json():
     assert abs(payload["d_n"] - 0.12580504750128083) < 1e-12
 
 
+def test_asym_large_n_has_no_null():
+    # the saddle is certified up to n = 1e8 and every estimate is log-scale
+    proc = run("asym", "--n", "1000000")
+    assert proc.returncode == 0, proc.stderr
+    assert "null" not in proc.stdout
+    payload = json.loads(proc.stdout)
+    assert abs(payload["hayman_over_hr"] - 1.0) < 1e-3
+
+
+def test_import_loads_no_scipy():
+    # only `verify` needs scipy; it is imported inside that subcommand
+    code = "import sys, hooklaw.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_shape_csv():
     proc = run("shape", "--points", "10")
     lines = proc.stdout.strip().split("\n")
