@@ -183,9 +183,12 @@ def _log_euler_product_expansion(d: float) -> float:
 def log_hayman_pn_estimate(n: int) -> float:
     """log of the saddle-point coefficient estimate
     exp(n d) g(e^(-d)) / sqrt(2 pi b(e^(-d))) at the solved saddle."""
-    sol = solve_saddle(n)
+    return _log_hayman_at(solve_saddle(n))
+
+
+def _log_hayman_at(sol: SaddleSolution) -> float:
     d = sol.d_n
-    return n * d + log_euler_product(d) - 0.5 * math.log(2 * math.pi * sol.b_val)
+    return sol.n * d + log_euler_product(d) - 0.5 * math.log(2 * math.pi * sol.b_val)
 
 
 # Bernoulli numbers B_2, B_4, B_6, B_8 for the Euler-Maclaurin tail

@@ -168,7 +168,7 @@ def cmd_asym(args) -> int:
     n = args.n
     sol = asymptotics.solve_saddle(n)
     log_hr = asymptotics.log_hardy_ramanujan(n)
-    log_hay = asymptotics.log_hayman_pn_estimate(n)
+    log_hay = asymptotics._log_hayman_at(sol)
     payload = {
         "n": str(n),
         "d_n": sol.d_n,

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
+import numpy as np
+
 from .errors import ResourceError
 from .partitions import Partition, conjugate
 
@@ -22,22 +24,53 @@ ENUMERATION_CAP = 60
 # Growable table p(0..N), extended on demand and then only read.
 _PTABLE: list[int] = [1]
 
+# rows of the pentagonal recurrence computed together in _extend_ptable
+_PTABLE_BLOCK = 512
+
 
 def _extend_ptable(limit: int) -> None:
+    """Append p(len(_PTABLE)..limit) by the pentagonal recurrence
+    p(m) = sum_k (-1)^(k+1) (p(m - k(3k-1)/2) + p(m - k(3k+1)/2)).
+
+    Rows are computed in blocks: an offset at least as long as the block
+    reads only finished rows, so it adds as one slice of a numpy object
+    array; the few shorter offsets run row by row.
+    """
     p = _PTABLE
-    for m in range(len(p), limit + 1):
-        total = 0
-        k = 1
-        while True:
-            g = k * (3 * k - 1) // 2  # generalized pentagonal numbers g, g + k
-            if g > m:
+    start = len(p)
+    offsets = []  # (generalized pentagonal number, sign), increasing
+    k = 1
+    while k * (3 * k - 1) // 2 <= limit:
+        sign = 1 if k % 2 else -1
+        offsets += [(k * (3 * k - 1) // 2, sign), (k * (3 * k + 1) // 2, sign)]
+        k += 1
+    table = np.empty(limit + 1, dtype=object)
+    table[:start] = p
+    for lo in range(start, limit + 1, _PTABLE_BLOCK):
+        hi = min(lo + _PTABLE_BLOCK, limit + 1)
+        acc = np.zeros(hi - lo, dtype=object)
+        short = []
+        for g, sign in offsets:
+            if g >= hi:
                 break
-            sign = 1 if k % 2 else -1
-            total += sign * p[m - g]
-            if g + k <= m:
-                total += sign * p[m - g - k]
-            k += 1
-        p.append(total)
+            if g < hi - lo:
+                short.append((g, sign))
+                continue
+            a = max(lo, g)  # rows below g have no term at offset g
+            if sign > 0:
+                acc[a - lo :] += table[a - g : hi - g]
+            else:
+                acc[a - lo :] -= table[a - g : hi - g]
+        for m, total in enumerate(acc.tolist(), start=lo):
+            for g, sign in short:
+                if g > m:
+                    break
+                if sign > 0:
+                    total += p[m - g]
+                else:
+                    total -= p[m - g]
+            p.append(total)
+        table[lo:hi] = p[lo:hi]
 
 
 def partition_count(n: int) -> int:
@@ -90,11 +123,11 @@ def iter_partitions(n: int) -> Iterator[Partition]:
             a.append(surplus)
 
 
-def enumerate_all(n: int, cap: int = ENUMERATION_CAP) -> list[Partition]:
+def enumerate_all(n: int) -> list[Partition]:
     """Materialize all of iter_partitions(n); refuses n beyond the cap."""
-    if n > cap:
+    if n > ENUMERATION_CAP:
         raise ResourceError(
-            f"n={n} exceeds the enumeration cap {cap}; use iter_partitions "
+            f"n={n} exceeds the enumeration cap {ENUMERATION_CAP}; use iter_partitions "
             f"for streaming access"
         )
     return list(iter_partitions(n))

@@ -11,12 +11,17 @@ approximations:
   draw); no floating point touches the exact path.
 
 * ``fristedt-rejection`` — independent geometric multiplicities l_j with
-  success parameter 1 - w^j at w = exp(-pi / sqrt(6 n)), accepted only when
-  sum j*l_j hits n exactly.  Conditioned on acceptance the law is uniform
-  for every w; this w maximizes the acceptance rate at leading order.
-  Two approximations stand between this and the exact law: each l_j is
-  drawn by float inversion of a double uniform, and multiplicities whose
-  chance of being nonzero is below 2^-64 are pinned to 0.
+  success parameter 1 - w^j at w = exp(-pi / sqrt(6 n)) (Fristedt 1993),
+  accepted by the deterministic second half of probabilistic
+  divide-and-conquer (Arratia & DeSalvo 2016): the parts of size >= 2
+  leave k = n - sum_{j>=2} j*l_j, and the trial is accepted when k >= 0
+  and l_1 >= k, an event of chance w^k; then l_1 = k.  Conditioned on
+  acceptance the law is uniform for every w.  The acceptance rate falls
+  like n^(-1/4), against n^(-3/4) for waiting until sum j*l_j hits n:
+  about 40 trials per draw at n = 1e4.  Two approximations stand between
+  this and the exact law: each l_j is drawn by float inversion of a double
+  uniform, and multiplicities whose chance of being nonzero is below 2^-64
+  are pinned to 0.
 
 Randomness comes from counter-based streams keyed by (seed, trial index),
 so worker processes reproduce the serial observation sequence exactly no
@@ -251,7 +256,15 @@ class _ExactRecursiveSampler:
 
 
 class _FristedtSampler:
-    """Rejection sampler from independent geometric multiplicities."""
+    """Rejection sampler from independent geometric multiplicities.
+
+    A trial draws every l_j; the parts of size >= 2 leave k = n -
+    sum_{j>=2} j*l_j for the ones.  Since P(l_1 >= k) = w^k, accepting
+    when l_1 >= k and then setting l_1 = k weighs each outcome of the
+    other l_j exactly as P(l_1 = k) does, up to the constant 1 - w, so the
+    accepted law is that of conditioning on sum j*l_j = n.  Trials per
+    acceptance are geometric with mean (1 - w) / P(sum_j j*l_j = n).
+    """
 
     _BATCH = 64
 
@@ -278,9 +291,10 @@ class _FristedtSampler:
             uniforms = rng.random((self._BATCH, self.jcut))
             # inversion per j: floor(log(1-U) / log(w^j)); 1-U avoids log(0)
             mults = np.floor(np.log1p(-uniforms) / self.log_wj).astype(np.int64)
-            totals = mults @ jvec
+            # parts of size >= 2 leave k ones; P(l_1 >= k) = w^k accepts
+            k = n - mults[:, 1:] @ jvec[1:]
             used += self._BATCH
-            hits = np.nonzero(totals == n)[0]
+            hits = np.nonzero((k >= 0) & (mults[:, 0] >= k))[0]
             if hits.size:
                 self.trials += int(hits[0]) + 1
                 self.accepted += 1
@@ -291,6 +305,7 @@ class _FristedtSampler:
                         self.accepted / max(1, self.trials),
                     )
                 row = mults[hits[0]]
+                row[0] = k[hits[0]]
                 nz = np.nonzero(row)[0]
                 parts: list[int] = []
                 for idx in nz[::-1]:

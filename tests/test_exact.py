@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hooklaw import exact
 from hooklaw.errors import ResourceError
 from hooklaw.exact import (
     ExactHookDistribution,
@@ -33,6 +34,33 @@ def test_partition_count_100():
 def test_partition_counts_table():
     table = partition_counts(10)
     assert table == P_SMALL[:11]
+
+
+def _plain_partition_counts(limit):
+    # Euler's pentagonal recurrence, one interpreted term at a time
+    p = [1]
+    for m in range(1, limit + 1):
+        total = 0
+        k = 1
+        while k * (3 * k - 1) // 2 <= m:
+            sign = 1 if k % 2 else -1
+            for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+                if g <= m:
+                    total += sign * p[m - g]
+            k += 1
+        p.append(total)
+    return p
+
+
+@pytest.mark.parametrize("prefix", [1, 2, 8, 512, 513, 514, 1501])
+def test_blocked_table_matches_plain_recurrence(monkeypatch, prefix):
+    # extensions that start on, before and after the edges of the row blocks
+    monkeypatch.setattr(exact, "_PTABLE", [1])
+    exact.partition_counts(prefix - 1)
+    assert len(exact._PTABLE) == prefix
+    table = exact.partition_counts(3000)
+    assert type(table) is list and all(type(v) is int for v in table)
+    assert table == _plain_partition_counts(3000)
 
 
 def test_count_matches_enumeration_to_40():
@@ -67,10 +95,11 @@ def test_enumerate_examples():
     assert enumerate_all(0) == [Partition(())]
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
     with pytest.raises(ResourceError, match="streaming"):
         enumerate_all(61)
-    assert len(enumerate_all(61, cap=61)) == partition_count(61)
+    monkeypatch.setattr(exact, "ENUMERATION_CAP", 61)
+    assert len(enumerate_all(61)) == partition_count(61)
 
 
 def test_moment_Y_values():

@@ -3,7 +3,7 @@ import random
 from collections import Counter
 
 import pytest
-from scipy.stats import chi2
+from scipy.stats import chi2, chi2_contingency
 
 from hooklaw.errors import ResourceError
 from hooklaw.exact import enumerate_all, hook_distribution_via_part_counts, partition_counts
@@ -72,11 +72,19 @@ def test_uniformity_chisq(n, algorithm):
     assert _uniform_chisq_pvalue(n, algorithm, 20000) > 0.001
 
 
-@pytest.mark.parametrize("n", [100, 1000])
-def test_exact_sampler_matches_hook_law(n):
+@pytest.mark.parametrize(
+    "algorithm, n, count",
+    [
+        pytest.param(EXACT_RECURSIVE, 100, 40000, id="100"),
+        pytest.param(EXACT_RECURSIVE, 1000, 40000, id="1000"),
+        pytest.param(FRISTEDT_REJECTION, 100, 40000, id="fristedt-rejection-100"),
+        pytest.param(FRISTEDT_REJECTION, 1000, 40000, id="fristedt-rejection-1000"),
+        pytest.param(FRISTEDT_REJECTION, 10000, 6000, id="fristedt-rejection-10000"),
+    ],
+)
+def test_exact_sampler_matches_hook_law(algorithm, n, count):
     # the reference law comes from the counting table, not from sampling
-    count = 40000
-    cfg = SamplerConfig(n=n, algorithm=EXACT_RECURSIVE, seed=SEED)
+    cfg = SamplerConfig(n=n, algorithm=algorithm, seed=SEED)
     obs = sample_hooks(cfg, count, threads=2)
     freq = Counter(o.hook for o in obs)
     dist = hook_distribution_via_part_counts(n)
@@ -96,17 +104,13 @@ def test_exact_sampler_matches_hook_law(n):
 
 
 def test_two_algorithms_agree_at_n30():
+    # one two-sample chi-square over all hook values, not one test per bin
     n, count = 30, 100_000
     he = Counter(o.hook for o in sample_hooks(SamplerConfig(n, EXACT_RECURSIVE, SEED), count, threads=2))
     hf = Counter(o.hook for o in sample_hooks(SamplerConfig(n, FRISTEDT_REJECTION, SEED), count, threads=2))
-    for k in range(1, n + 1):
-        p1 = he.get(k, 0) / count
-        p2 = hf.get(k, 0) / count
-        pooled = 0.5 * (p1 + p2)
-        if pooled == 0:
-            continue
-        sigma = math.sqrt(pooled * (1 - pooled) * 2 / count)
-        assert abs(p1 - p2) <= 3 * sigma + 1e-12, f"bin {k}: {p1} vs {p2}"
+    hooks = sorted(set(he) | set(hf))
+    table = [[he.get(k, 0) for k in hooks], [hf.get(k, 0) for k in hooks]]
+    assert chi2_contingency(table).pvalue > 0.001
 
 
 def test_hook_length_matches_arm_leg_count():
@@ -216,11 +220,29 @@ def test_algorithms_share_the_stream_contract():
 
 
 def test_fristedt_budget_error():
-    sampler = _FristedtSampler(30, budget=64)
+    sampler = _FristedtSampler(100_000, budget=64)
     with pytest.raises(ResourceError, match="budget"):
-        # a budget of one batch nearly never hits n = 30 on the first 64
+        # about 88 trials per acceptance at n = 1e5: one batch of 64 misses
+        # about half the time
         for trial in range(50):
             sampler.draw(stream(1, trial))
+
+
+def test_fristedt_acceptance_matches_theory():
+    # a trial is accepted with chance P(T = n) / (1 - w), T = sum_j j l_j
+    # over the unpinned j, so trials per acceptance are geometric with mean
+    # (1 - w) / (p(n) w^n prod_{j <= jcut} (1 - w^j))
+    n, draws = 1000, 400
+    sampler = _FristedtSampler(n)
+    for trial in range(draws):
+        sampler.draw(stream(SEED, trial))
+    assert sampler.accepted == draws
+    log_w = -math.pi / math.sqrt(6 * n)
+    log_hit = math.log(partition_counts(n)[n]) + n * log_w
+    log_hit += sum(math.log(-math.expm1(j * log_w)) for j in range(1, sampler.jcut + 1))
+    mean = -math.expm1(log_w) / math.exp(log_hit)
+    stderr = math.sqrt(mean * (mean - 1) / draws)
+    assert abs(sampler.trials / sampler.accepted - mean) <= 4 * stderr
 
 
 def test_fristedt_conditioning():
