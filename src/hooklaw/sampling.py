@@ -6,22 +6,25 @@ approximations:
 
 * ``exact-recursive`` — the table-driven pair recursion: draw a (part d,
   repetition j) pair with probability d * p(m - j*d) / (m * p(m)), append j
-  copies of d, recurse on the remainder.  The selection is done entirely in
-  big-integer arithmetic (cumulative weights against a uniform big-integer
-  draw); no floating point touches the exact path.
+  copies of d, recurse on the remainder.  The removed total q = j*d is
+  located by an inverse-CDF walk that runs in floats only where a margin
+  certifies its answer and otherwise in exact big integers, so the law is
+  exact.  Its uniform big integers come from one Mersenne Twister per
+  draw, seeded from 128 bits of the trial's stream.
 
 * ``fristedt-rejection`` — independent geometric multiplicities l_j with
   success parameter 1 - w^j at w = exp(-pi / sqrt(6 n)) (Fristedt 1993),
+  drawn as a Poisson process of (part j, count r) points for j >= 2 and
   accepted by the deterministic second half of probabilistic
   divide-and-conquer (Arratia & DeSalvo 2016): the parts of size >= 2
-  leave k = n - sum_{j>=2} j*l_j, and the trial is accepted when k >= 0
-  and l_1 >= k, an event of chance w^k; then l_1 = k.  Conditioned on
-  acceptance the law is uniform for every w.  The acceptance rate falls
-  like n^(-1/4), against n^(-3/4) for waiting until sum j*l_j hits n:
-  about 40 trials per draw at n = 1e4.  Two approximations stand between
-  this and the exact law: each l_j is drawn by float inversion of a double
-  uniform, and multiplicities whose chance of being nonzero is below 2^-64
-  are pinned to 0.
+  leave k = n - sum_{j>=2} j*l_j, and the trial is accepted with chance
+  w^k = P(l_1 >= k) when k >= 0; then l_1 = k.  Conditioned on acceptance
+  the law is uniform for every w.  The acceptance rate falls like
+  n^(-1/4), against n^(-3/4) for waiting until sum j*l_j hits n: about 40
+  trials per draw at n = 1e4.  Two approximations stand between this and
+  the exact law: the point count, each r and j and the acceptance are
+  drawn in floating point from double uniforms, and the points whose r
+  has w^(2r) below 2^-64 are left out, a total intensity below 2^-64.
 
 Randomness comes from counter-based streams keyed by (seed, trial index),
 so worker processes reproduce the serial observation sequence exactly no
@@ -35,6 +38,7 @@ import logging
 import math
 import multiprocessing
 import os
+import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -97,47 +101,6 @@ def stream(seed: int, trial: int) -> np.random.Generator:
     """The counter-based stream for one trial: Philox keyed by (seed, trial)."""
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, trial & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-class _BitStream:
-    """Buffered random bits from a Generator, consumed in a fixed order.
-
-    below(m) draws a uniform integer in [0, m) of any size by masked
-    rejection: take bit_length(m) random bits, retry while >= m.
-    """
-
-    __slots__ = ("rng", "buf", "pos", "size")
-
-    _REFILL_WORDS = 2048
-
-    def __init__(self, rng: np.random.Generator, words: int):
-        self.rng = rng
-        self.buf = rng.integers(0, 1 << 64, size=words, dtype=np.uint64).tobytes()
-        self.size = len(self.buf)
-        self.pos = 0
-
-    def _take(self, nbytes: int) -> bytes:
-        if self.pos + nbytes > self.size:
-            extra = self.rng.integers(
-                0, 1 << 64, size=max(self._REFILL_WORDS, nbytes // 8 + 1), dtype=np.uint64
-            ).tobytes()
-            self.buf = self.buf[self.pos :] + extra
-            self.size = len(self.buf)
-            self.pos = 0
-        out = self.buf[self.pos : self.pos + nbytes]
-        self.pos += nbytes
-        return out
-
-    def below(self, m: int) -> int:
-        if m == 1:
-            return 0
-        bits = m.bit_length()
-        nbytes = (bits + 7) >> 3
-        shift = (nbytes << 3) - bits
-        while True:
-            v = int.from_bytes(self._take(nbytes), "little") >> shift
-            if v < m:
-                return v
 
 
 class _ExactRecursiveSampler:
@@ -219,8 +182,20 @@ class _ExactRecursiveSampler:
         return 0
 
     def draw(self, rng: np.random.Generator) -> Partition:
-        bits = _BitStream(rng, words=min(4096, max(64, self.n // 16)))
-        below = bits.below
+        # one Mersenne Twister per draw, seeded from 128 bits of the trial's
+        # stream; getrandbits is used directly because randrange's
+        # algorithm may change between Python versions
+        bits = random.Random(int.from_bytes(rng.bytes(16), "little")).getrandbits
+
+        def below(m: int) -> int:
+            # masked rejection: (m - 1).bit_length() random bits until one
+            # is below m; no bits are drawn when m == 1
+            width = (m - 1).bit_length()
+            while True:
+                v = bits(width)
+                if v < m:
+                    return v
+
         p = self.p
         sigma = self.sigma
         counts: dict[int, int] = {}
@@ -239,8 +214,7 @@ class _ExactRecursiveSampler:
                     if acc > u:
                         break
             # pick the divisor d of q with weight d; repetition j = q // d
-            sq = sigma[q]
-            w = below(sq) if sq > 1 else 0
+            w = below(sigma[q])
             acc_d = 0
             d = q
             for d in self._divisor_list(q):
@@ -256,66 +230,60 @@ class _ExactRecursiveSampler:
 
 
 class _FristedtSampler:
-    """Rejection sampler from independent geometric multiplicities.
+    """Rejection sampler on Fristedt's independent geometric multiplicities.
 
-    A trial draws every l_j; the parts of size >= 2 leave k = n -
-    sum_{j>=2} j*l_j for the ones.  Since P(l_1 >= k) = w^k, accepting
-    when l_1 >= k and then setting l_1 = k weighs each outcome of the
-    other l_j exactly as P(l_1 = k) does, up to the constant 1 - w, so the
-    accepted law is that of conditioning on sum j*l_j = n.  Trials per
-    acceptance are geometric with mean (1 - w) / P(sum_j j*l_j = n).
+    Each l_j is geometric with P(l_j >= a) = w^(j a), w = e^(-d).  A
+    geometric variable is a sum of Poissons (Arratia, Barbour & Tavare
+    2003): l_j = sum_r r X_jr with X_jr ~ Poisson(w^(j r) / r).  So the
+    parts of size >= 2 are the points (j, r) of a Poisson process with
+    intensity w^(j r) / r, each point adding r parts of size j.  A trial
+    draws the point count as Poisson(Lambda), Lambda = sum_r w^(2r) /
+    (r (1 - w^r)); each point's r from that marginal; and its j as 2 plus
+    a geometric variable of ratio w^r.
+
+    The parts of size >= 2 leave k = n - sum j*r ones.  Since
+    P(l_1 >= k) = w^k, accepting with chance w^k and then setting l_1 = k
+    weighs each outcome of the other l_j exactly as P(l_1 = k) does, up to
+    the constant 1 - w, so the accepted law is that of conditioning on
+    sum_j j*l_j = n.  Trials per acceptance are geometric with mean
+    (1 - w) / P(sum_j j*l_j = n).
+
+    The r table stops at the last r with w^(2r) >= 2^-64.  The intensity
+    left out beyond it is below 2^-64, so a trial differs from one of the
+    untruncated process with chance below 2^-64.
     """
 
-    _BATCH = 64
-
-    def __init__(self, n: int, budget: int = FRISTEDT_TRIAL_BUDGET):
+    def __init__(self, n: int):
         self.n = n
-        self.budget = budget
-        d = math.pi / math.sqrt(6.0 * n)
-        # beyond this index the success probability w^j of a nonzero
-        # multiplicity is below 2^-64 and the multiplicity is pinned to 0
-        jcut = min(n, int(64 * math.log(2.0) / d) + 1)
-        self.jcut = jcut
-        self.jvec = np.arange(1, jcut + 1, dtype=np.int64)
-        self.log_wj = -d * self.jvec.astype(float)
+        self.d = d = math.pi / math.sqrt(6.0 * n)
+        r = np.arange(1, int(32 * math.log(2.0) / d) + 1)
+        # cumulative intensity of r, summed over j >= 2
+        self.r_cum = np.cumsum(np.exp(-2 * d * r) / (r * -np.expm1(-d * r)))
         self.trials = 0
         self.accepted = 0
 
     def draw(self, rng: np.random.Generator) -> Partition:
-        n = self.n
-        jvec = self.jvec
-        used = 0
-        while used < self.budget:
-            # one batch of independent trials; the first hit in batch order
-            # is the accepted one, the rest of the batch is discarded
-            uniforms = rng.random((self._BATCH, self.jcut))
-            # inversion per j: floor(log(1-U) / log(w^j)); 1-U avoids log(0)
-            mults = np.floor(np.log1p(-uniforms) / self.log_wj).astype(np.int64)
-            # parts of size >= 2 leave k ones; P(l_1 >= k) = w^k accepts
-            k = n - mults[:, 1:] @ jvec[1:]
-            used += self._BATCH
-            hits = np.nonzero((k >= 0) & (mults[:, 0] >= k))[0]
-            if hits.size:
-                self.trials += int(hits[0]) + 1
+        n, d, r_cum = self.n, self.d, self.r_cum
+        lam = float(r_cum[-1])
+        for _ in range(FRISTEDT_TRIAL_BUDGET):
+            self.trials += 1
+            u = rng.random((2, rng.poisson(lam)))
+            r = 1 + r_cum[:-1].searchsorted(u[0] * lam, side="right")
+            # j - 2 by inversion of a geometric of ratio w^r; 1-U avoids log(0)
+            j = 2 + np.floor(np.log1p(-u[1]) / (-d * r)).astype(np.int64)
+            k = n - int(j @ r)
+            if k >= 0 and rng.random() < math.exp(-d * k):
                 self.accepted += 1
                 if self.accepted % 1000 == 0:
                     log.debug(
-                        "fristedt n=%d acceptance rate %.3e",
-                        n,
-                        self.accepted / max(1, self.trials),
+                        "fristedt n=%d acceptance rate %.3e", n, self.accepted / self.trials
                     )
-                row = mults[hits[0]]
-                row[0] = k[hits[0]]
-                nz = np.nonzero(row)[0]
-                parts: list[int] = []
-                for idx in nz[::-1]:
-                    parts.extend([int(idx) + 1] * int(row[idx]))
+                parts = sorted(np.repeat(j, r).tolist(), reverse=True) + [1] * k
                 if sum(parts) != n:
                     raise RuntimeError(f"accepted fristedt draw does not sum to n={n}")
                 return Partition(tuple(parts))
-            self.trials += self._BATCH
         raise ResourceError(
-            f"fristedt rejection exhausted its {self.budget} trial budget at n={n}"
+            f"fristedt rejection exhausted its {FRISTEDT_TRIAL_BUDGET} trial budget at n={n}"
         )
 
 
@@ -423,10 +391,7 @@ def _sampler_for(cfg: SamplerConfig):
 
 
 def resolve_threads(requested: int | None) -> int:
-    """--threads flag, HOOKLAW_THREADS, or machine parallelism, in that order."""
+    """The --threads flag, else machine parallelism."""
     if requested is not None:
         return max(1, requested)
-    env = os.environ.get("HOOKLAW_THREADS")
-    if env:
-        return max(1, int(env))
     return os.cpu_count() or 1

@@ -2,9 +2,11 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from scipy.stats import chi2, chi2_contingency
 
+from hooklaw import sampling
 from hooklaw.errors import ResourceError
 from hooklaw.exact import enumerate_all, hook_distribution_via_part_counts, partition_counts
 from hooklaw.partitions import Cell, Partition
@@ -80,6 +82,7 @@ def test_uniformity_chisq(n, algorithm):
         pytest.param(FRISTEDT_REJECTION, 100, 40000, id="fristedt-rejection-100"),
         pytest.param(FRISTEDT_REJECTION, 1000, 40000, id="fristedt-rejection-1000"),
         pytest.param(FRISTEDT_REJECTION, 10000, 6000, id="fristedt-rejection-10000"),
+        pytest.param(FRISTEDT_REJECTION, 100000, 6000, id="fristedt-rejection-100000"),
     ],
 )
 def test_exact_sampler_matches_hook_law(algorithm, n, count):
@@ -219,19 +222,21 @@ def test_algorithms_share_the_stream_contract():
     assert p1 == p2
 
 
-def test_fristedt_budget_error():
-    sampler = _FristedtSampler(100_000, budget=64)
+def test_fristedt_budget_error(monkeypatch):
+    monkeypatch.setattr(sampling, "FRISTEDT_TRIAL_BUDGET", 64)
+    sampler = _FristedtSampler(100_000)
     with pytest.raises(ResourceError, match="budget"):
-        # about 88 trials per acceptance at n = 1e5: one batch of 64 misses
-        # about half the time
+        # about 71 trials per acceptance at n = 1e5: a draw needs more than
+        # 64 trials about 40 % of the time
         for trial in range(50):
             sampler.draw(stream(1, trial))
 
 
 def test_fristedt_acceptance_matches_theory():
-    # a trial is accepted with chance P(T = n) / (1 - w), T = sum_j j l_j
-    # over the unpinned j, so trials per acceptance are geometric with mean
-    # (1 - w) / (p(n) w^n prod_{j <= jcut} (1 - w^j))
+    # a trial is accepted with chance P(T = n) / (1 - w), T = sum_j j l_j,
+    # so trials per acceptance are geometric with mean
+    # (1 - w) / (p(n) w^n prod_{j >= 1} (1 - w^j)); the product stops where
+    # w^j < e^-50
     n, draws = 1000, 400
     sampler = _FristedtSampler(n)
     for trial in range(draws):
@@ -239,10 +244,26 @@ def test_fristedt_acceptance_matches_theory():
     assert sampler.accepted == draws
     log_w = -math.pi / math.sqrt(6 * n)
     log_hit = math.log(partition_counts(n)[n]) + n * log_w
-    log_hit += sum(math.log(-math.expm1(j * log_w)) for j in range(1, sampler.jcut + 1))
+    log_hit += sum(math.log(-math.expm1(j * log_w)) for j in range(1, int(50 / -log_w) + 1))
     mean = -math.expm1(log_w) / math.exp(log_hit)
     stderr = math.sqrt(mean * (mean - 1) / draws)
     assert abs(sampler.trials / sampler.accepted - mean) <= 4 * stderr
+
+
+@pytest.mark.parametrize("n", [1, 30, 10**4, 10**6, 10**8])
+def test_fristedt_r_table_tail_below_2_to_minus_64(n):
+    # the table keeps every r with w^(2r) >= 2^-64, and the intensity
+    # sum_{r > R} w^(2r) / (r (1 - w^r)) it leaves out is below 2^-64
+    sampler = _FristedtSampler(n)
+    d = sampler.d
+    big_r = len(sampler.r_cum)
+    assert math.exp(-2 * d * big_r) >= 2.0**-64 > math.exp(-2 * d * (big_r + 1))
+    r = np.arange(big_r + 1, 4 * big_r + 2)
+    tail = float(np.sum(np.exp(-2 * d * r) / (r * -np.expm1(-d * r))))
+    assert 0 < tail < 2.0**-64
+    # the table is the same intensity, summed
+    lam = sum(math.exp(-2 * d * r) / (r * -math.expm1(-d * r)) for r in range(1, big_r + 1))
+    assert sampler.r_cum[-1] == pytest.approx(lam, rel=1e-12)
 
 
 def test_fristedt_conditioning():
@@ -253,10 +274,10 @@ def test_fristedt_conditioning():
 
 
 def test_fristedt_large_n_conditioning():
-    # the multiplicity cutoff sits well below n here; conditioning must
-    # still hold exactly on accepted draws
+    # the r table stops well below n here; conditioning must still hold
+    # exactly on accepted draws
     sampler = make_sampler(SamplerConfig(n=10000, algorithm=FRISTEDT_REJECTION, seed=SEED))
-    assert sampler.jcut < 10000
+    assert len(sampler.r_cum) < 10000
     for trial in range(2):
         assert sampler.draw(stream(SEED, trial)).n == 10000
     assert sampler.trials > sampler.accepted  # rejection actually happened
