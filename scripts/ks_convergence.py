@@ -16,13 +16,7 @@ import sys
 
 from hooklaw.exact import hook_distribution_via_part_counts
 from hooklaw.limitlaw import cdf, ks_statistic
-from hooklaw.sampling import (
-    SamplerConfig,
-    default_algorithm,
-    resolve_threads,
-    sample_hooks,
-    scale_hook,
-)
+from hooklaw.sampling import SamplerConfig, resolve_threads, sample_hooks, scale_hook
 
 
 def exact_sup_distance(n: int) -> float:
@@ -51,7 +45,7 @@ def main() -> int:
 
     print("n,count,ks_distance,ks_reference,mean_scaled,exact_ks")
     for n in args.sizes:
-        cfg = SamplerConfig(n=n, algorithm=default_algorithm(n), seed=args.seed)
+        cfg = SamplerConfig(n=n, seed=args.seed)
         obs = sample_hooks(cfg, args.count, threads=threads)
         report = ks_statistic([o.scaled for o in obs], n=n)
         reference = 1.95 / math.sqrt(args.count)

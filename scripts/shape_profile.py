@@ -15,7 +15,7 @@ import sys
 from hooklaw.asymptotics import limit_shape
 from hooklaw.limitlaw import shape_grid
 from hooklaw.partitions import profile
-from hooklaw.sampling import SamplerConfig, default_algorithm, sample_partition, stream
+from hooklaw.sampling import SamplerConfig, sample_partition, stream
 
 
 def main() -> int:
@@ -26,7 +26,7 @@ def main() -> int:
     ap.add_argument("--points", type=int, default=200)
     args = ap.parse_args()
 
-    cfg = SamplerConfig(n=args.n, algorithm=default_algorithm(args.n), seed=args.seed)
+    cfg = SamplerConfig(n=args.n, seed=args.seed)
     samples = [sample_partition(cfg, stream(cfg.seed, trial)) for trial in range(args.draws)]
     root = args.n**0.5
     grid = shape_grid(points=args.points)

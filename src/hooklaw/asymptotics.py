@@ -110,24 +110,18 @@ class SaddleSolution:
 
 
 def solve_saddle(n: int) -> SaddleSolution:
-    """Root of a(e^(-d)) = n: geometric bisection to a tight bracket, then
-    Newton refinement using a'(d) = -b(d).
+    """Root of a(e^(-d)) = n by Newton's method on d, using a'(d) = -b(d).
 
-    a is strictly decreasing in d and spans (far) past both ends of the
-    bracket [1e-8, 10] for every supported n, so bracketing cannot fail.
+    a is strictly decreasing and convex in d, so each tangent meets the
+    level n at or left of the root: Newton steps started left of the root
+    rise monotonically to it, with no bracket needed.  The start is
+    d_n_expansion(n), which lies below the root for every supported n.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > 10**8:
         raise ValueError(f"n={n} beyond the supported saddle range (1e8)")
-    lo, hi = 1e-8, 10.0  # a(1e-8) ~ 1.6e16 > n; a(10) ~ 5e-5 < 1 <= n
-    while hi > 1.01 * lo:
-        mid = math.sqrt(lo * hi)
-        if saddle_a(mid) > n:
-            lo = mid
-        else:
-            hi = mid
-    d = math.sqrt(lo * hi)
+    d = d_n_expansion(n)
     for _ in range(60):
         f = saddle_a(d) - n
         step = f / saddle_b(d)
@@ -183,12 +177,9 @@ def _log_euler_product_expansion(d: float) -> float:
 def log_hayman_pn_estimate(n: int) -> float:
     """log of the saddle-point coefficient estimate
     exp(n d) g(e^(-d)) / sqrt(2 pi b(e^(-d))) at the solved saddle."""
-    return _log_hayman_at(solve_saddle(n))
-
-
-def _log_hayman_at(sol: SaddleSolution) -> float:
+    sol = solve_saddle(n)
     d = sol.d_n
-    return sol.n * d + log_euler_product(d) - 0.5 * math.log(2 * math.pi * sol.b_val)
+    return n * d + log_euler_product(d) - 0.5 * math.log(2 * math.pi * sol.b_val)
 
 
 # Bernoulli numbers B_2, B_4, B_6, B_8 for the Euler-Maclaurin tail

@@ -74,34 +74,21 @@ class _Output:
         self.started = time.perf_counter()
 
     def write_json(self, payload: dict) -> None:
-        body = _json({"manifest": self.manifest, **payload}) + "\n"
-        self._write(body)
+        self._write([_json({"manifest": self.manifest, **payload}) + "\n"])
 
     def write_lines(self, lines) -> None:
-        stream = open(self.out_path, "w") if self.out_path else sys.stdout
-        try:
-            for line in lines:
-                stream.write(line + "\n")
-        finally:
-            if self.out_path:
-                stream.close()
+        self._write(line + "\n" for line in lines)
         print(_json(self.manifest), file=sys.stderr)
-        self._sidecar()
 
-    def _write(self, body: str) -> None:
-        if self.out_path:
-            with open(self.out_path, "w") as fh:
-                fh.write(body)
-            self._sidecar()
-        else:
-            sys.stdout.write(body)
-
-    def _sidecar(self) -> None:
-        if self.out_path:
-            wall = time.perf_counter() - self.started
-            payload = {**self.manifest, "wall_time_s": wall}
-            with open(self.out_path + ".manifest.json", "w") as fh:
-                fh.write(_json(payload) + "\n")
+    def _write(self, chunks) -> None:
+        if not self.out_path:
+            sys.stdout.writelines(chunks)
+            return
+        with open(self.out_path, "w") as fh:
+            fh.writelines(chunks)
+        payload = {**self.manifest, "wall_time_s": time.perf_counter() - self.started}
+        with open(self.out_path + ".manifest.json", "w") as fh:
+            fh.write(_json(payload) + "\n")
 
     def done(self) -> None:
         wall = time.perf_counter() - self.started
@@ -168,7 +155,7 @@ def cmd_asym(args) -> int:
     n = args.n
     sol = asymptotics.solve_saddle(n)
     log_hr = asymptotics.log_hardy_ramanujan(n)
-    log_hay = asymptotics._log_hayman_at(sol)
+    log_hay = asymptotics.log_hayman_pn_estimate(n)
     payload = {
         "n": str(n),
         "d_n": sol.d_n,
@@ -204,16 +191,16 @@ def cmd_shape(args) -> int:
     return 0
 
 
+# --algo names; auto leaves the choice to SamplerConfig, which picks by n
+_ALGORITHMS = {
+    "auto": None,
+    "exact": sampling.EXACT_RECURSIVE,
+    "fristedt": sampling.FRISTEDT_REJECTION,
+}
+
+
 def _resolved_config(args) -> sampling.SamplerConfig:
-    algo = args.algo
-    if algo == "auto":
-        algo = sampling.default_algorithm(args.n)
-    else:
-        algo = {
-            "exact": sampling.EXACT_RECURSIVE,
-            "fristedt": sampling.FRISTEDT_REJECTION,
-        }[algo]
-    return sampling.SamplerConfig(n=args.n, algorithm=algo, seed=args.seed)
+    return sampling.SamplerConfig(n=args.n, algorithm=_ALGORITHMS[args.algo], seed=args.seed)
 
 
 def cmd_sample(args) -> int:

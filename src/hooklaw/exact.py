@@ -17,7 +17,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ResourceError
-from .partitions import Partition, conjugate
+from .partitions import Partition, hook_lengths
 
 ENUMERATION_CAP = 60
 
@@ -133,14 +133,6 @@ def enumerate_all(n: int) -> list[Partition]:
     return list(iter_partitions(n))
 
 
-def _hooks(p: Partition) -> Iterator[int]:
-    # hook lengths of all cells, with the conjugate computed once
-    conj = conjugate(p).parts
-    for t, row_len in enumerate(p.parts, start=1):
-        for s in range(1, row_len + 1):
-            yield row_len - s + conj[s - 1] - t + 1
-
-
 def moment_Y(n: int, m: int) -> Fraction:
     """Expected m-th power sum of the parts of a uniform random partition.
 
@@ -173,7 +165,7 @@ def moment_Z(n: int, m: int) -> Fraction:
     total = 0
     count = 0
     for p in iter_partitions(n):
-        total += sum(h**m for h in _hooks(p))
+        total += sum(h**m for h in hook_lengths(p))
         count += 1
     return Fraction(total, n * count)
 
@@ -215,7 +207,7 @@ def exact_hook_distribution(n: int) -> ExactHookDistribution:
         raise ResourceError(f"n={n} exceeds the enumeration cap {ENUMERATION_CAP}")
     weights: Counter[int] = Counter()
     for p in iter_partitions(n):
-        weights.update(_hooks(p))
+        weights.update(hook_lengths(p))
     dist = ExactHookDistribution(n, dict(weights))
     _check_mass(dist)
     return dist
@@ -252,7 +244,7 @@ def tableaux_count(p: Partition) -> int:
     if not p.parts:
         raise ValueError("tableaux_count requires a nonempty partition")
     prod = 1
-    for h in _hooks(p):
+    for h in hook_lengths(p):
         prod *= h
     count, rem = divmod(math.factorial(p.n), prod)
     if rem:

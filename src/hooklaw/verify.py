@@ -22,7 +22,7 @@ from scipy.integrate import quad
 from scipy.stats import chi2
 
 from . import asymptotics, exact, limitlaw, sampling, series
-from .partitions import Cell, Partition, conjugate, hook_length
+from .partitions import Cell, Partition, conjugate, hook_length, hook_lengths
 
 VERIFY_SEED = 20250810
 
@@ -45,7 +45,7 @@ def check_hook_powersum_identity(threads: int, quick: bool) -> tuple[bool, str]:
         hook_sums = [0] * 5
         part_sums = [0] * 5
         for p in exact.iter_partitions(n):
-            for h in exact._hooks(p):
+            for h in hook_lengths(p):
                 for m in range(1, 5):
                     hook_sums[m] += h**m
             for part in p.parts:

@@ -92,6 +92,16 @@ def test_solve_saddle_certified_at_large_n(n):
     assert abs(log_hayman_pn_estimate(n) - log_hardy_ramanujan(n)) <= 1.0 / math.sqrt(n)
 
 
+def test_d_n_expansion_lies_below_the_saddle():
+    # solve_saddle starts Newton at d_n_expansion(n): a is decreasing and
+    # convex in d, so the iteration rises monotonically to the root only
+    # from a start left of it
+    sizes = list(range(1, 201)) + [round(10 ** (2.5 + k / 4)) for k in range(23)]
+    assert sizes[-1] == 10**8
+    for n in sizes:
+        assert d_n_expansion(n) < solve_saddle(n).d_n, n
+
+
 def test_solve_saddle_monotone_in_n():
     ds = [solve_saddle(n).d_n for n in (10, 30, 100, 300, 1000)]
     assert all(a > b for a, b in zip(ds, ds[1:]))

@@ -55,6 +55,26 @@ def test_default_algorithm_switchover():
     assert default_algorithm(100_001) == FRISTEDT_REJECTION
 
 
+def test_config_algorithm_follows_n():
+    assert SamplerConfig(n=100).algorithm == EXACT_RECURSIVE
+    assert SamplerConfig(n=10**6).algorithm == FRISTEDT_REJECTION
+
+
+def test_one_sampler_per_n_and_algorithm(monkeypatch):
+    # the sampler cache is keyed by (n, algorithm): seeds share one sampler
+    built = []
+    make = sampling.make_sampler
+
+    def counting_make(cfg, ptable=None):
+        built.append(cfg)
+        return make(cfg, ptable)
+
+    monkeypatch.setattr(sampling, "make_sampler", counting_make)
+    for seed in (1, 2, 3):
+        sample_partition(SamplerConfig(n=97, seed=seed), stream(seed, 0))
+    assert len(built) == 1
+
+
 def test_n1_is_always_the_single_partition():
     for algorithm in (EXACT_RECURSIVE, FRISTEDT_REJECTION):
         for p in _draws(1, algorithm, 10):
@@ -203,7 +223,7 @@ def test_worker_count_capped_at_cpu_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=1):
             return [fn(item) for item in items]
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
