@@ -3,8 +3,10 @@
 All series over j are evaluated at a real argument x = exp(-d) with an
 explicit truncation and a certified geometric/integral tail bound; the
 bound is checked on every call and a ToleranceError is raised if it cannot
-be met.  Quantities that would overflow a double (anything carrying
-exp(n d)) are handled in the log domain.
+be met.  The three series (a, b and log g) share one cutoff rule and one
+summation kernel, which adds the terms in fixed-size blocks, so memory stays
+flat however many terms a small d needs.  Quantities that would overflow a
+double (anything carrying exp(n d)) are handled in the log domain.
 """
 
 from __future__ import annotations
@@ -17,15 +19,31 @@ import numpy as np
 from .errors import ToleranceError
 
 _TAIL_RTOL = 1e-12
-# exp(-46) ~ 1e-20 leaves the integral-comparison tail bounds comfortably
-# below the relative target at every n of interest
+# a cutoff J with d J = 46 + 2 log(1/d) gives x^J = e^(-46) d^2 ~ 1e-20 d^2;
+# the d^2 cancels the growth of b's relative tail bound, which scales like
+# d^-2 and would pass 1e-12 near d ~ 3e-3 (n ~ 2e5) with 46/d alone
 _CUTOFF_SCALE = 46.0
+# terms per block of the series kernel: bounds its arrays at any n
+_BLOCK = 1 << 14
 # Newton steps stop once they move d by less than this fraction of d
 _SADDLE_RTOL = 1e-10
 
 
 def default_cutoff(d: float) -> int:
-    return int(_CUTOFF_SCALE / d) + 1
+    return int((_CUTOFF_SCALE + 2.0 * max(0.0, math.log(1.0 / d))) / d) + 1
+
+
+def _series(d: float, term) -> tuple[float, int]:
+    """sum_{j=1..J} term(j, e^(-j d)) with J = default_cutoff(d), summed in
+    blocks of _BLOCK terms; returns the sum and J."""
+    if d <= 0:
+        raise ValueError(f"saddle parameter must be positive, got {d}")
+    cutoff = default_cutoff(d)
+    value = 0.0
+    for start in range(1, cutoff + 1, _BLOCK):
+        j = np.arange(start, min(start + _BLOCK, cutoff + 1), dtype=float)
+        value += float(np.sum(term(j, np.exp(-j * d))))
+    return value, cutoff
 
 
 def _check_tail(tail: float, value: float, what: str) -> None:
@@ -43,12 +61,7 @@ def saddle_a(d: float) -> float:
     the integral of t x^t divided by (1 - x) and certified below 1e-12
     relative.
     """
-    if d <= 0:
-        raise ValueError(f"saddle parameter must be positive, got {d}")
-    cutoff = default_cutoff(d)
-    j = np.arange(1, cutoff + 1, dtype=float)
-    x = np.exp(-j * d)
-    value = float(np.sum(j * x / (1.0 - x)))
+    value, cutoff = _series(d, lambda j, x: j * x / (1.0 - x))
     # integral bound: sum_{j>J} j x^j <= int_J^inf t e^(-dt) dt, valid since
     # t e^(-dt) decreases for t > 1/d
     tail = math.exp(-d * cutoff) * (cutoff / d + 1.0 / (d * d))
@@ -63,39 +76,15 @@ def saddle_b(d: float) -> float:
     Equals minus the derivative of saddle_a with respect to d, which the
     Newton refinement in solve_saddle relies on.
     """
-    if d <= 0:
-        raise ValueError(f"saddle parameter must be positive, got {d}")
-    cutoff = _saddle_b_cutoff(d)
-    j = np.arange(1, cutoff + 1, dtype=float)
-    x = np.exp(-j * d)
-    om = 1.0 - x
-    value = float(np.sum(j * j * x / (om * om)))
-    _check_tail(_saddle_b_tail(d, cutoff), value, "saddle_b")
-    return value
-
-
-def _saddle_b_tail(d: float, cutoff: int) -> float:
+    value, cutoff = _series(d, lambda j, x: j * j * x / ((1.0 - x) * (1.0 - x)))
     # integral bound on sum_{j>J} j^2 x^j, times the (1 - x)^-2 that bounds
     # 1 / (1 - x^j)^2
     tail = math.exp(-d * cutoff) * (
         cutoff * cutoff / d + 2.0 * cutoff / (d * d) + 2.0 / (d**3)
     )
-    return tail / (-math.expm1(-d)) ** 2
-
-
-def _saddle_b_cutoff(d: float) -> int:
-    """default_cutoff(d), unless its tail bound fails against the lower
-    bound sum_j j^2 x^j = x (1 + x) / (1 - x)^3 of b.
-
-    At the fixed cutoff the relative tail grows like d^-2 and passes 1e-12
-    below d ~ 3e-3 (n ~ 2e5); adding 2 log(1/d) / d to the cutoff
-    multiplies the tail by d^2 and cancels that growth.
-    """
-    cutoff = default_cutoff(d)
-    x = math.exp(-d)
-    if _saddle_b_tail(d, cutoff) > _TAIL_RTOL * x * (1.0 + x) / (-math.expm1(-d)) ** 3:
-        cutoff = int((_CUTOFF_SCALE + 2.0 * math.log(1.0 / d)) / d) + 1
-    return cutoff
+    tail /= (-math.expm1(-d)) ** 2
+    _check_tail(tail, value, "saddle_b")
+    return value
 
 
 @dataclass(frozen=True)
@@ -152,11 +141,7 @@ def log_hardy_ramanujan(n: int) -> float:
 def log_euler_product(d: float) -> float:
     """log of the partition generating function at x = e^(-d):
     -sum_j log(1 - x^j), truncated with a certified tail."""
-    if d <= 0:
-        raise ValueError(f"saddle parameter must be positive, got {d}")
-    cutoff = default_cutoff(d)
-    j = np.arange(1, cutoff + 1, dtype=float)
-    value = float(-np.sum(np.log1p(-np.exp(-j * d))))
+    value, cutoff = _series(d, lambda j, x: -np.log1p(-x))
     # -log(1-y) <= y/(1-y); geometric sum of x^j beyond the cutoff
     xj = math.exp(-d * (cutoff + 1))
     tail = xj / ((-math.expm1(-d)) * (1.0 - xj))

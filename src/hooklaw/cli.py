@@ -65,66 +65,58 @@ def _manifest(args: argparse.Namespace, flags: dict) -> dict:
 
 
 class _Output:
-    """Route the payload to stdout or --out, with the manifest embedded
-    (JSON) or alongside (CSV/stderr + sidecar)."""
+    """Route a command's payload to stdout or --out: a dict as JSON with the
+    manifest embedded, a list of lines as CSV with the manifest on stderr
+    (and in the sidecar with --out); then the wall time on stderr."""
 
-    def __init__(self, args: argparse.Namespace, flags: dict):
-        self.out_path = getattr(args, "out", None)
-        self.manifest = _manifest(args, flags)
+    def __init__(self, args: argparse.Namespace):
+        self.args = args
         self.started = time.perf_counter()
 
-    def write_json(self, payload: dict) -> None:
-        self._write([_json({"manifest": self.manifest, **payload}) + "\n"])
-
-    def write_lines(self, lines) -> None:
-        self._write(line + "\n" for line in lines)
-        print(_json(self.manifest), file=sys.stderr)
-
-    def _write(self, chunks) -> None:
-        if not self.out_path:
+    def write(self, flags: dict, payload) -> None:
+        manifest = _manifest(self.args, flags)
+        if isinstance(payload, dict):
+            chunks = [_json({"manifest": manifest, **payload}) + "\n"]
+        else:
+            chunks = [line + "\n" for line in payload]
+        out_path = getattr(self.args, "out", None)
+        if out_path:
+            with open(out_path, "w") as fh:
+                fh.writelines(chunks)
+            sidecar = {**manifest, "wall_time_s": time.perf_counter() - self.started}
+            with open(out_path + ".manifest.json", "w") as fh:
+                fh.write(_json(sidecar) + "\n")
+        else:
             sys.stdout.writelines(chunks)
-            return
-        with open(self.out_path, "w") as fh:
-            fh.writelines(chunks)
-        payload = {**self.manifest, "wall_time_s": time.perf_counter() - self.started}
-        with open(self.out_path + ".manifest.json", "w") as fh:
-            fh.write(_json(payload) + "\n")
-
-    def done(self) -> None:
+        if not isinstance(payload, dict):
+            print(_json(manifest), file=sys.stderr)
         wall = time.perf_counter() - self.started
         print(f"wall_time_s: {wall:.3f}", file=sys.stderr)
 
 
-def cmd_pn(args) -> int:
+def cmd_pn(args, out: _Output) -> int:
     print(exact.partition_count(args.n))
     return 0
 
 
-def cmd_exact(args) -> int:
-    flags = {"n": args.n, "m": args.m}
-    out = _Output(args, flags)
+def cmd_exact(args, out: _Output) -> int:
     n, m = args.n, args.m
     dist = exact.exact_hook_distribution(n)
-    e_y = [str(exact.moment_Y(n, k)) for k in range(m + 1)]
-    e_z = [str(exact.moment_Z(n, k)) for k in range(m + 1)]
     payload = {
         "n": str(n),
         "p_n": str(exact.partition_count(n)),
-        "E_Y": e_y,
-        "E_Z": e_z,
+        "E_Y": [str(exact.moment_Y(n, k)) for k in range(m + 1)],
+        "E_Z": [str(dist.moment(k)) for k in range(m + 1)],
         "hook_hist": {str(h): str(dist.weights[h]) for h in sorted(dist.weights)},
     }
-    out.write_json(payload)
-    out.done()
+    out.write({"n": n, "m": m}, payload)
     return 0
 
 
 GF_ENUM_CAP = 22  # enumeration oracle column only up to here
 
 
-def cmd_gf_check(args) -> int:
-    flags = {"n": args.n, "m": args.m}
-    out = _Output(args, flags)
+def cmd_gf_check(args, out: _Output) -> int:
     deg = args.n
     product = series.euler_series(deg) * series.f_m_series(args.m, deg)
     lines = ["n,p_n,coefficient,check"]
@@ -141,17 +133,14 @@ def cmd_gf_check(args) -> int:
         if not ok:
             mismatch = True
         lines.append(f"{n},{pn},{coeff},{'exact-match' if ok else 'MISMATCH'}")
-    out.write_lines(lines)
-    out.done()
+    out.write({"n": args.n, "m": args.m}, lines)
     if mismatch:
         print("error: series and enumeration disagree", file=sys.stderr)
         return 3
     return 0
 
 
-def cmd_asym(args) -> int:
-    flags = {"n": args.n}
-    out = _Output(args, flags)
+def cmd_asym(args, out: _Output) -> int:
     n = args.n
     sol = asymptotics.solve_saddle(n)
     log_hr = asymptotics.log_hardy_ramanujan(n)
@@ -173,21 +162,16 @@ def cmd_asym(args) -> int:
         payload["p_exact"] = str(pn)
         payload["hr_over_exact"] = math.exp(log_hr - log_pn)
         payload["hayman_over_exact"] = math.exp(log_hay - log_pn)
-    out.write_json(payload)
-    out.done()
+    out.write({"n": n}, payload)
     return 0
 
 
-def cmd_shape(args) -> int:
-    flags = {"points": args.points}
-    out = _Output(args, flags)
-    grid = limitlaw.shape_grid(points=args.points)
+def cmd_shape(args, out: _Output) -> int:
     lines = ["t,s"]
-    for t in grid:
+    for t in limitlaw.shape_grid(points=args.points):
         s = asymptotics.limit_shape(float(t))
         lines.append(f"{t:.12g},{s:.12g}")
-    out.write_lines(lines)
-    out.done()
+    out.write({"points": args.points}, lines)
     return 0
 
 
@@ -199,12 +183,16 @@ _ALGORITHMS = {
 }
 
 
-def _resolved_config(args) -> sampling.SamplerConfig:
-    return sampling.SamplerConfig(n=args.n, algorithm=_ALGORITHMS[args.algo], seed=args.seed)
+def _observations(args) -> tuple[sampling.SamplerConfig, list]:
+    """The sampler config the --n/--seed/--algo flags name, and --count
+    hook observations drawn with it."""
+    cfg = sampling.SamplerConfig(n=args.n, algorithm=_ALGORITHMS[args.algo], seed=args.seed)
+    threads = sampling.resolve_threads(args.threads)
+    return cfg, sampling.sample_hooks(cfg, args.count, threads=threads)
 
 
-def cmd_sample(args) -> int:
-    cfg = _resolved_config(args)
+def cmd_sample(args, out: _Output) -> int:
+    cfg, observations = _observations(args)
     flags = {
         "n": args.n,
         "count": args.count,
@@ -212,9 +200,6 @@ def cmd_sample(args) -> int:
         "algo": cfg.algorithm,
         "hist": args.hist,
     }
-    out = _Output(args, flags)
-    threads = sampling.resolve_threads(args.threads)
-    observations = sampling.sample_hooks(cfg, args.count, threads=threads)
     if args.hist:
         scaled = np.array([o.scaled for o in observations])
         counts, edges = np.histogram(scaled, bins=args.hist, range=(0.0, float(scaled.max())))
@@ -226,22 +211,17 @@ def cmd_sample(args) -> int:
             "edges": [float(e) for e in edges],
             "counts": [str(int(c)) for c in counts],
         }
-        out.write_json(payload)
+        out.write(flags, payload)
     else:
         lines = ["trial,hook,scaled"]
         for trial, o in enumerate(observations):
             lines.append(f"{trial},{o.hook},{o.scaled:.12g}")
-        out.write_lines(lines)
-    out.done()
+        out.write(flags, lines)
     return 0
 
 
-def cmd_ks(args) -> int:
-    cfg = _resolved_config(args)
-    flags = {"n": args.n, "count": args.count, "seed": args.seed, "algo": cfg.algorithm}
-    out = _Output(args, flags)
-    threads = sampling.resolve_threads(args.threads)
-    observations = sampling.sample_hooks(cfg, args.count, threads=threads)
+def cmd_ks(args, out: _Output) -> int:
+    cfg, observations = _observations(args)
     report = limitlaw.ks_statistic([o.scaled for o in observations], n=cfg.n)
     payload = {
         "n": str(cfg.n),
@@ -253,25 +233,21 @@ def cmd_ks(args) -> int:
         "limit_mean": limitlaw.LIMIT_MEAN,
         "moment_ratios": list(report.moment_ratios),
     }
-    out.write_json(payload)
-    out.done()
+    out.write({"n": args.n, "count": args.count, "seed": args.seed, "algo": cfg.algorithm}, payload)
     return 0
 
 
-def cmd_limit(args) -> int:
-    flags = {"grid": args.grid}
-    out = _Output(args, flags)
+def cmd_limit(args, out: _Output) -> int:
     k = args.grid
     lines = ["u,density,cdf"]
     for i in range(1, k + 1):
         u = 8.0 * i / k
         lines.append(f"{u:.12g},{limitlaw.density(u):.12g},{limitlaw.cdf(u):.12g}")
-    out.write_lines(lines)
-    out.done()
+    out.write({"grid": args.grid}, lines)
     return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, out: _Output) -> int:
     from . import verify  # loads scipy, which no other subcommand needs
 
     threads = sampling.resolve_threads(args.threads)
@@ -289,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"hooklaw {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_):
-        p = sub.add_parser(name, help=help_)
+    def add(name, fn, help_, parents=()):
+        p = sub.add_parser(name, help=help_, parents=parents)
         p.set_defaults(func=fn)
         return p
 
@@ -315,22 +291,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=400)
     p.add_argument("--out")
 
-    p = add("sample", cmd_sample, "stream scaled hook observations as CSV")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--algo", choices=("auto", "exact", "fristedt"), default="auto")
-    p.add_argument("--hist", type=int, default=0, help="emit a histogram JSON instead")
-    p.add_argument("--threads", type=int)
-    p.add_argument("--out")
+    # the flags `sample` and `ks` share
+    mc = argparse.ArgumentParser(add_help=False)
+    mc.add_argument("--n", type=int, required=True)
+    mc.add_argument("--count", type=int, required=True)
+    mc.add_argument("--seed", type=int, default=0)
+    mc.add_argument("--algo", choices=tuple(_ALGORITHMS), default="auto")
+    mc.add_argument("--threads", type=int)
+    mc.add_argument("--out")
 
-    p = add("ks", cmd_ks, "goodness-of-fit report against the limit law")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--algo", choices=("auto", "exact", "fristedt"), default="auto")
-    p.add_argument("--threads", type=int)
-    p.add_argument("--out")
+    p = add("sample", cmd_sample, "stream scaled hook observations as CSV", [mc])
+    p.add_argument("--hist", type=int, default=0, help="emit a histogram JSON instead")
+
+    add("ks", cmd_ks, "goodness-of-fit report against the limit law", [mc])
 
     p = add("limit", cmd_limit, "density and CDF of the limit law as CSV")
     p.add_argument("--grid", type=int, default=200)
@@ -347,7 +320,7 @@ def dispatch(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _Output(args))
     except (ToleranceError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

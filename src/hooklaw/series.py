@@ -74,19 +74,14 @@ def f_m_series(m: int, degree: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(c))
 
 
-def moment_coefficient(m: int, n: int, degree: int | None = None) -> int:
+def moment_coefficient(m: int, n: int) -> int:
     """Coefficient of x^n in euler_series * f_m_series.
 
     Equals p(n) times the expected m-th power sum of the parts of a uniform
     random partition of n; for m = 1 it is n * p(n) identically.
     """
-    if degree is None:
-        degree = n
-    if n > degree:
-        raise ValueError(f"n={n} exceeds truncation degree {degree}")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    g = euler_series(degree).coeffs
-    f = f_m_series(m, degree).coeffs
+    g = euler_series(n).coeffs
+    f = f_m_series(m, n).coeffs
     return sum(f[k] * g[n - k] for k in range(1, n + 1))
-

@@ -1,6 +1,8 @@
 import math
+import tracemalloc
 
 import mpmath
+import numpy as np
 import pytest
 
 from hooklaw import asymptotics
@@ -74,6 +76,40 @@ def test_saddle_a_cutoff_tolerance(monkeypatch):
         saddle_a(0.1)
     with pytest.raises(ToleranceError):
         log_euler_product(0.1)
+    with pytest.raises(ToleranceError):
+        saddle_b(0.1)
+
+
+SERIES_TERMS = (
+    (saddle_a, lambda j, x: j * x / (1.0 - x)),
+    (saddle_b, lambda j, x: j * j * x / (1.0 - x) ** 2),
+    (log_euler_product, lambda j, x: -np.log1p(-x)),
+)
+
+
+def test_series_memory_flat_at_largest_n():
+    # the cutoff at n = 1e8 is about 5e5 terms; summed in blocks, no series
+    # holds more than a block's arrays at once
+    d = d_n_expansion(10**8)
+    for series, _ in SERIES_TERMS:
+        tracemalloc.start()
+        try:
+            series(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, (series.__name__, peak)
+
+
+def test_series_block_edges_match_fsum():
+    # about 1.5e5 terms, about ten blocks: a term dropped or repeated at a
+    # block edge moves a by about 2e-6 relative
+    d = solve_saddle(10**7).d_n
+    j = np.arange(1, asymptotics.default_cutoff(d) + 1, dtype=float)
+    x = np.exp(-j * d)
+    for series, term in SERIES_TERMS:
+        reference = math.fsum(term(j, x))
+        assert series(d) == pytest.approx(reference, rel=1e-13), series.__name__
 
 
 def test_solve_saddle_residuals():
@@ -85,7 +121,7 @@ def test_solve_saddle_residuals():
 
 @pytest.mark.parametrize("n", [3 * 10**5, 10**6, 10**7])
 def test_solve_saddle_certified_at_large_n(n):
-    # the fixed 46/d cutoff no longer certified saddle_b's tail here
+    # a cutoff of 46/d alone would not certify saddle_b's tail here
     sol = solve_saddle(n)
     assert sol.residual <= 1e-8 * n
     assert abs(sol.d_n / d_n_expansion(n) - 1.0) <= 1.0 / n

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+from hooklaw import exact
+
 CMD = [sys.executable, "-m", "hooklaw"]
 
 
@@ -53,6 +55,13 @@ def test_exact_json_payload():
     assert payload["manifest"]["version"]
 
 
+def test_exact_moments_of_hook_law():
+    proc = run("exact", "--n", "7", "--m", "4")
+    assert proc.returncode == 0, proc.stderr
+    e_z = json.loads(proc.stdout)["E_Z"]
+    assert e_z == [str(exact.moment_Z(7, k)) for k in range(5)]
+
+
 def test_exact_over_cap_exits_three():
     proc = run("exact", "--n", "100")
     assert proc.returncode == 3
@@ -76,6 +85,19 @@ def test_asym_json():
     assert 1.00 < payload["hr_over_exact"] < 1.10
     assert abs(payload["hayman_over_exact"] - 1.0) < 0.02
     assert abs(payload["d_n"] - 0.12580504750128083) < 1e-12
+
+
+def test_asym_out_file_and_sidecar(tmp_path):
+    out = tmp_path / "asym.json"
+    proc = run("asym", "--n", "100", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
+    payload = json.loads(out.read_text())
+    assert payload["manifest"]["subcommand"] == "asym"
+    assert payload["p_exact"] == "190569292"
+    sidecar = json.loads((tmp_path / "asym.json.manifest.json").read_text())
+    assert sidecar["flags"] == {"n": "100"}
+    assert "wall_time_s" in sidecar
 
 
 def test_asym_large_n_has_no_null():

@@ -57,11 +57,6 @@ def test_moment_coefficient_values():
     assert moment_coefficient(3, 4) == 122
 
 
-def test_moment_coefficient_degree_guard():
-    with pytest.raises(ValueError):
-        moment_coefficient(1, 10, 5)
-
-
 def test_first_moment_identity():
     g = euler_series(400)
     f = f_m_series(1, 400)
