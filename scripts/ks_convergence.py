@@ -16,7 +16,7 @@ import sys
 
 from hooklaw.exact import hook_distribution_via_part_counts
 from hooklaw.limitlaw import cdf, ks_statistic
-from hooklaw.sampling import SamplerConfig, resolve_threads, sample_hooks, scale_hook
+from hooklaw.sampling import SamplerConfig, sample_hooks, scale_hook
 
 
 def exact_sup_distance(n: int) -> float:
@@ -41,12 +41,11 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=20250810)
     ap.add_argument("--threads", type=int)
     args = ap.parse_args()
-    threads = resolve_threads(args.threads)
 
     print("n,count,ks_distance,ks_reference,mean_scaled,exact_ks")
     for n in args.sizes:
         cfg = SamplerConfig(n=n, seed=args.seed)
-        obs = sample_hooks(cfg, args.count, threads=threads)
+        obs = sample_hooks(cfg, args.count, threads=args.threads)
         report = ks_statistic([o.scaled for o in obs], n=n)
         reference = 1.95 / math.sqrt(args.count)
         exact = exact_sup_distance(n) if n <= 200000 else float("nan")

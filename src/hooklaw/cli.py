@@ -187,8 +187,7 @@ def _observations(args) -> tuple[sampling.SamplerConfig, list]:
     """The sampler config the --n/--seed/--algo flags name, and --count
     hook observations drawn with it."""
     cfg = sampling.SamplerConfig(n=args.n, algorithm=_ALGORITHMS[args.algo], seed=args.seed)
-    threads = sampling.resolve_threads(args.threads)
-    return cfg, sampling.sample_hooks(cfg, args.count, threads=threads)
+    return cfg, sampling.sample_hooks(cfg, args.count, threads=args.threads)
 
 
 def cmd_sample(args, out: _Output) -> int:
@@ -250,8 +249,7 @@ def cmd_limit(args, out: _Output) -> int:
 def cmd_verify(args, out: _Output) -> int:
     from . import verify  # loads scipy, which no other subcommand needs
 
-    threads = sampling.resolve_threads(args.threads)
-    return verify.verify_all(args.level, threads)
+    return verify.verify_all(args.level, args.threads)
 
 
 def build_parser() -> argparse.ArgumentParser:

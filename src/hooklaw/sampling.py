@@ -9,7 +9,9 @@ approximations:
   copies of d, recurse on the remainder.  The removed total q = j*d is
   located by an inverse-CDF walk that runs in floats only where a margin
   certifies its answer and otherwise in exact big integers, so the law is
-  exact.  Its uniform big integers come from one Mersenne Twister per
+  exact.  The part d is then picked among the divisors of q with weight
+  d, largest first over the cofactors j = 1, 2, ..., on the reflected
+  uniform.  Its uniform big integers come from one Mersenne Twister per
   draw, seeded from 128 bits of the trial's stream.
 
 * ``fristedt-rejection`` — independent geometric multiplicities l_j with
@@ -35,7 +37,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import functools
-import logging
 import math
 import multiprocessing
 import os
@@ -51,14 +52,12 @@ from .errors import ResourceError
 from .exact import partition_counts
 from .partitions import Cell, Partition, hook_length
 
-log = logging.getLogger(__name__)
-
 EXACT_RECURSIVE = "exact-recursive"
 FRISTEDT_REJECTION = "fristedt-rejection"
 ALGORITHMS = (EXACT_RECURSIVE, FRISTEDT_REJECTION)
 
-# above this size the p(n) table stops being worth building and rejection
-# sampling takes over as the default
+# the largest n that default_algorithm (--algo auto) sends to the exact
+# sampler; above it the default is rejection sampling
 EXACT_DEFAULT_LIMIT = 100_000
 
 FRISTEDT_TRIAL_BUDGET = 10_000_000
@@ -107,12 +106,30 @@ def stream(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _pick_divisor(q: int, sigma_q: int, u: int) -> int:
+    """The divisor d of q picked with weight d by a uniform u below
+    sigma_q = sigma(q): the d whose interval holds u when the divisors,
+    smallest first, tile [0, sigma_q).  The walk takes d = q // j over the
+    cofactors j = 1, 2, ..., largest d first, on the reflected uniform
+    sigma_q - 1 - u, which gives each d that same interval."""
+    w = sigma_q - 1 - u
+    j = 0
+    while w >= 0:
+        j += 1
+        if q % j == 0:
+            w -= q // j
+    return q // j
+
+
 class _ExactRecursiveSampler:
     """Table-driven uniform sampler, shared across trials at fixed n.
 
     Per step at remainder m, the removed total q = j*d is drawn with weight
     sigma(q) * p(m - q) (sigma = divisor sum), then d is picked among the
     divisors of q with weight d; this is exactly the (d, j) pair law above.
+    The pick is _pick_divisor's largest-first cofactor walk on the
+    reflected uniform, so the sampler keeps no divisor lists and is not
+    written to after construction.
 
     The weights of q sum to m * p(m), so q is located by inverse CDF: a
     uniform big integer u below m * p(m) against the cumulative weights,
@@ -153,15 +170,6 @@ class _ExactRecursiveSampler:
             self._sigma_scaled = sigma * np.exp(-beta * k)
         if not np.isfinite(self._p_rev).all():
             self._p_rev = None  # out of float range (n past ~1e6)
-        self._divisors: dict[int, list[int]] = {}
-
-    def _divisor_list(self, q: int) -> list[int]:
-        dv = self._divisors.get(q)
-        if dv is None:
-            small = [d for d in range(1, isqrt(q) + 1) if q % d == 0]
-            dv = sorted(small + [q // d for d in small if q // d != d])
-            self._divisors[q] = dv
-        return dv
 
     def _float_walk(self, m: int, x: float) -> int:
         """The q whose float cumulative interval holds x with the slack to
@@ -202,7 +210,7 @@ class _ExactRecursiveSampler:
 
         p = self.p
         sigma = self.sigma
-        counts: dict[int, int] = {}
+        parts: list[int] = []
         m = self.n
         while m > 0:
             # sum_q sigma(q) p(m - q) = m p(m): walk the cumulative past u
@@ -217,19 +225,11 @@ class _ExactRecursiveSampler:
                     acc += sigma[q] * p[m - q]
                     if acc > u:
                         break
-            # pick the divisor d of q with weight d; repetition j = q // d
-            w = below(sigma[q])
-            acc_d = 0
-            d = q
-            for d in self._divisor_list(q):
-                acc_d += d
-                if acc_d > w:
-                    break
-            counts[d] = counts.get(d, 0) + q // d
+            # the part d among the divisors of q, with weight d; j = q // d
+            d = _pick_divisor(q, sigma[q], below(sigma[q]))
+            parts.extend([d] * (q // d))
             m -= q
-        parts: list[int] = []
-        for d in sorted(counts, reverse=True):
-            parts.extend([d] * counts[d])
+        parts.sort(reverse=True)
         return Partition(tuple(parts))
 
 
@@ -278,10 +278,6 @@ class _FristedtSampler:
             k = n - int(j @ r)
             if k >= 0 and rng.random() < math.exp(-d * k):
                 self.accepted += 1
-                if self.accepted % 1000 == 0:
-                    log.debug(
-                        "fristedt n=%d acceptance rate %.3e", n, self.accepted / self.trials
-                    )
                 parts = sorted(np.repeat(j, r).tolist(), reverse=True) + [1] * k
                 if sum(parts) != n:
                     raise RuntimeError(f"accepted fristedt draw does not sum to n={n}")
@@ -347,13 +343,15 @@ def scale_hook(hook: int, n: int) -> float:
     return math.pi * hook / math.sqrt(6.0 * n)
 
 
-def sample_hooks(cfg: SamplerConfig, count: int, threads: int = 1) -> list[HookObservation]:
+def sample_hooks(cfg: SamplerConfig, count: int, threads: int | None = 1) -> list[HookObservation]:
     """count independent observations of the pair experiment, in trial
-    order.  The result is identical for every thread count, which is
-    capped at the CPU count."""
+    order.  threads=None means one worker per CPU; the worker count is
+    clamped to [1, min(count, CPU count)], so threads <= 1 runs serially.
+    The result is identical for every thread count."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    threads = max(1, min(threads, count, os.cpu_count() or 1))
+    cpus = os.cpu_count() or 1
+    threads = max(1, min(cpus if threads is None else threads, count, cpus))
     # built before forking, so worker processes inherit the cached sampler
     # (and its tables) copy-on-write
     _sampler_for(cfg.n, cfg.algorithm)
@@ -367,10 +365,3 @@ def sample_hooks(cfg: SamplerConfig, count: int, threads: int = 1) -> list[HookO
         # one contiguous block of trials per worker, returned in trial order
         chunk = math.ceil(count / threads)
         return list(pool.map(functools.partial(observe_hook, cfg), range(count), chunksize=chunk))
-
-
-def resolve_threads(requested: int | None) -> int:
-    """The --threads flag, else machine parallelism."""
-    if requested is not None:
-        return max(1, requested)
-    return os.cpu_count() or 1

@@ -26,7 +26,7 @@ from .partitions import Cell, Partition, conjugate, hook_length, hook_lengths
 
 VERIFY_SEED = 20250810
 
-CheckFn = Callable[[int, bool], tuple[bool, str]]
+CheckFn = Callable[[int | None, bool], tuple[bool, str]]
 
 
 @dataclass
@@ -37,7 +37,7 @@ class CheckOutcome:
     seconds: float
 
 
-def check_hook_powersum_identity(threads: int, quick: bool) -> tuple[bool, str]:
+def check_hook_powersum_identity(threads: int | None, quick: bool) -> tuple[bool, str]:
     """Sum of h^m over all (partition, cell) pairs equals the sum of
     lambda_j^(m+1) over all partitions, exactly."""
     nmax = 8 if quick else 12
@@ -57,7 +57,7 @@ def check_hook_powersum_identity(threads: int, quick: bool) -> tuple[bool, str]:
     return True, f"exact for n <= {nmax}, m <= 4"
 
 
-def check_series_moment_oracle(threads: int, quick: bool) -> tuple[bool, str]:
+def check_series_moment_oracle(threads: int | None, quick: bool) -> tuple[bool, str]:
     """Series coefficients against enumeration moments, and the m=1
     coefficient identity [x^n](g F_1) = n p(n) on a long range."""
     nmax = 10 if quick else 12
@@ -75,7 +75,7 @@ def check_series_moment_oracle(threads: int, quick: bool) -> tuple[bool, str]:
     return True, f"enumeration match to n={nmax}, m<=4; n p(n) identity to n={deg}"
 
 
-def check_conjugate_hook_example(threads: int, quick: bool) -> tuple[bool, str]:
+def check_conjugate_hook_example(threads: int | None, quick: bool) -> tuple[bool, str]:
     """The worked 22-cell example: conjugate and one hook value."""
     lam = Partition((5, 4, 3, 3, 2, 2, 2, 1))
     if conjugate(lam).parts != (8, 7, 4, 2, 1):
@@ -86,7 +86,7 @@ def check_conjugate_hook_example(threads: int, quick: bool) -> tuple[bool, str]:
     return True, "conjugate (8,7,4,2,1) and hook 6 reproduced"
 
 
-def check_partition_count_routes(threads: int, quick: bool) -> tuple[bool, str]:
+def check_partition_count_routes(threads: int | None, quick: bool) -> tuple[bool, str]:
     """Recurrence vs enumeration, the pinned p(100), and the first-order
     estimate overshooting by a few percent and shrinking."""
     nmax = 25 if quick else 40
@@ -111,7 +111,7 @@ def check_partition_count_routes(threads: int, quick: bool) -> tuple[bool, str]:
     )
 
 
-def check_saddle_machinery(threads: int, quick: bool) -> tuple[bool, str]:
+def check_saddle_machinery(threads: int | None, quick: bool) -> tuple[bool, str]:
     """Saddle residuals, the two-term expansion gap, the curvature scaling,
     and the coefficient estimate against exact counts."""
     sizes = (100, 1000) if quick else (100, 1000, 10000)
@@ -146,7 +146,7 @@ def check_saddle_machinery(threads: int, quick: bool) -> tuple[bool, str]:
     )
 
 
-def check_moment_asymptotic_gf(threads: int, quick: bool) -> tuple[bool, str]:
+def check_moment_asymptotic_gf(threads: int | None, quick: bool) -> tuple[bool, str]:
     """Exact scaled mean hook at a fixed large n against the limit mean,
     through the generating-function route."""
     n = 500 if quick else 2000
@@ -159,13 +159,13 @@ def check_moment_asymptotic_gf(threads: int, quick: bool) -> tuple[bool, str]:
     return True, f"scaled mean at n={n}: {mean_scaled:.5f} vs {limitlaw.LIMIT_MEAN:.5f} ({rel:.2%})"
 
 
-def _ks_for(n: int, count: int, threads: int) -> limitlaw.GofReport:
+def _ks_for(n: int, count: int, threads: int | None) -> limitlaw.GofReport:
     cfg = sampling.SamplerConfig(n=n, algorithm=sampling.EXACT_RECURSIVE, seed=VERIFY_SEED)
     obs = sampling.sample_hooks(cfg, count, threads=threads)
     return limitlaw.ks_statistic([o.scaled for o in obs], n=n)
 
 
-def check_limit_monte_carlo(threads: int, quick: bool) -> tuple[bool, str]:
+def check_limit_monte_carlo(threads: int | None, quick: bool) -> tuple[bool, str]:
     """The weak-convergence property test: KS distance to the limit law
     strictly decreasing in n, and the scaled sample mean at the largest n
     within 3% of the limit mean with its 3-sigma band."""
@@ -191,7 +191,7 @@ def check_limit_monte_carlo(threads: int, quick: bool) -> tuple[bool, str]:
     return True, f"{ks_txt}; mean(n={mean_n}) = {mean:.5f} +- {band:.5f} vs {target:.5f}"
 
 
-def _partition_chisq(algorithm: str, count: int, threads: int) -> float:
+def _partition_chisq(algorithm: str, count: int, threads: int | None) -> float:
     classes = [p.parts for p in exact.enumerate_all(5)]
     cfg = sampling.SamplerConfig(n=5, algorithm=algorithm, seed=VERIFY_SEED)
     sampler = sampling.make_sampler(cfg)
@@ -204,7 +204,7 @@ def _partition_chisq(algorithm: str, count: int, threads: int) -> float:
     return float(chi2.sf(stat, len(classes) - 1))
 
 
-def check_sampler_uniformity(threads: int, quick: bool) -> tuple[bool, str]:
+def check_sampler_uniformity(threads: int | None, quick: bool) -> tuple[bool, str]:
     """Chi-square of sampled partitions against the uniform law on the
     seven partitions of 5, for both algorithms; plus the conditioning
     property of accepted rejection draws."""
@@ -222,7 +222,7 @@ def check_sampler_uniformity(threads: int, quick: bool) -> tuple[bool, str]:
     return True, f"chi-square p-values: table {p_exact:.4f}, rejection {p_frist:.4f}; conditioning holds"
 
 
-def check_limit_law_internals(threads: int, quick: bool) -> tuple[bool, str]:
+def check_limit_law_internals(threads: int | None, quick: bool) -> tuple[bool, str]:
     """CDF series vs quadrature, density normalization, the closed second
     moment, and the shape-curve identity."""
     for y in (0.5, 1.0, 2.0, 5.0):
@@ -244,7 +244,7 @@ def check_limit_law_internals(threads: int, quick: bool) -> tuple[bool, str]:
     return True, "cdf/quadrature to 1e-9; mass to 1e-10; moment closed form; shape identity to 1e-12"
 
 
-def check_cli_determinism(threads: int, quick: bool) -> tuple[bool, str]:
+def check_cli_determinism(threads: int | None, quick: bool) -> tuple[bool, str]:
     """Byte-identical sample output for a repeated invocation and across
     thread counts."""
     count = 200 if quick else 1000
@@ -288,7 +288,7 @@ CHECKS: tuple[tuple[str, CheckFn], ...] = (
 )
 
 
-def run_checks(level: str, threads: int, emit=print) -> list[CheckOutcome]:
+def run_checks(level: str, threads: int | None, emit=print) -> list[CheckOutcome]:
     if level not in ("quick", "full"):
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
     quick = level == "quick"
@@ -306,7 +306,7 @@ def run_checks(level: str, threads: int, emit=print) -> list[CheckOutcome]:
     return outcomes
 
 
-def verify_all(level: str, threads: int, emit=print) -> int:
+def verify_all(level: str, threads: int | None, emit=print) -> int:
     outcomes = run_checks(level, threads, emit=emit)
     failed = [o for o in outcomes if not o.passed]
     if failed:

@@ -6,9 +6,8 @@ Run order matters for wall time only; every test is independent.
 """
 
 from hooklaw import verify
-from hooklaw.sampling import resolve_threads
 
-THREADS = resolve_threads(None)
+THREADS = None  # one sampling worker per CPU
 
 
 def _run(name: str) -> None:

@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 from collections import Counter
@@ -16,6 +17,7 @@ from hooklaw.sampling import (
     SamplerConfig,
     _ExactRecursiveSampler,
     _FristedtSampler,
+    _pick_divisor,
     cell_from_index,
     default_algorithm,
     make_sampler,
@@ -99,6 +101,7 @@ def test_uniformity_chisq(n, algorithm):
     [
         pytest.param(EXACT_RECURSIVE, 100, 40000, id="100"),
         pytest.param(EXACT_RECURSIVE, 1000, 40000, id="1000"),
+        pytest.param(EXACT_RECURSIVE, 10000, 6000, id="10000"),
         pytest.param(FRISTEDT_REJECTION, 100, 40000, id="fristedt-rejection-100"),
         pytest.param(FRISTEDT_REJECTION, 1000, 40000, id="fristedt-rejection-1000"),
         pytest.param(FRISTEDT_REJECTION, 10000, 6000, id="fristedt-rejection-10000"),
@@ -112,18 +115,19 @@ def test_exact_sampler_matches_hook_law(algorithm, n, count):
     freq = Counter(o.hook for o in obs)
     dist = hook_distribution_via_part_counts(n)
     total = dist.total
-    # pool hooks into bins with expected count >= 10
-    stat = 0.0
-    got = expect = 0.0
-    bins = 0
+    # pool hooks into bins with expected count >= 10; the partial bin left
+    # at the top of the range joins the last full one, so the tail is tested
+    got, expect = [0.0], [0.0]
     for k in range(1, n + 1):
-        got += freq.get(k, 0)
-        expect += dist.weights.get(k, 0) / total * count
-        if expect >= 10:
-            stat += (got - expect) ** 2 / expect
-            got = expect = 0.0
-            bins += 1
-    assert chi2.sf(stat, bins - 1) > 0.001
+        got[-1] += freq.get(k, 0)
+        expect[-1] += dist.weights.get(k, 0) / total * count
+        if expect[-1] >= 10:
+            got.append(0.0)
+            expect.append(0.0)
+    got[-2] += got.pop()
+    expect[-2] += expect.pop()
+    stat = sum((g - e) ** 2 / e for g, e in zip(got, expect))
+    assert chi2.sf(stat, len(got) - 1) > 0.001
 
 
 def test_two_algorithms_agree_at_n30():
@@ -232,6 +236,11 @@ def test_worker_count_capped_at_cpu_count(monkeypatch):
     obs = sample_hooks(cfg, 10, threads=10**6)
     assert started == [3]
     assert obs == sample_hooks(cfg, 10, threads=1)
+    # None means one worker per CPU; 0, like 1, starts no pool
+    assert sample_hooks(cfg, 10, threads=None) == obs
+    assert started == [3, 3]
+    assert sample_hooks(cfg, 10, threads=0) == obs
+    assert started == [3, 3]
 
 
 def test_algorithms_share_the_stream_contract():
@@ -339,3 +348,33 @@ def test_float_walk_agrees_with_exact_walk():
         boundary = sum(sampler.sigma[q] * p[m - q] for q in range(1, q0 + 1))
         assert _exact_walk(sampler, m, boundary) == q0 + 1
         assert sampler._float_walk(m, boundary / total) == 0
+
+
+def test_pick_divisor_matches_smallest_first_walk():
+    # every q <= 300 and every uniform u below sigma(q): the reflected
+    # largest-first cofactor walk picks the divisor that a smallest-first
+    # walk over the divisors, with interval length d each, picks
+    for q in range(1, 301):
+        divisors = [d for d in range(1, q + 1) if q % d == 0]
+        sigma_q = sum(divisors)
+        for u in range(sigma_q):
+            acc = 0
+            for d in divisors:
+                acc += d
+                if acc > u:
+                    break
+            assert _pick_divisor(q, sigma_q, u) == d, (q, u)
+
+
+def test_draws_leave_exact_sampler_unchanged():
+    sampler = _ExactRecursiveSampler(3000)
+    before = copy.deepcopy(vars(sampler))
+    for trial in range(50):
+        sampler.draw(stream(SEED, trial))
+    after = vars(sampler)
+    assert after.keys() == before.keys()
+    for name, value in before.items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(after[name], value), name
+        else:
+            assert after[name] == value, name
