@@ -7,6 +7,9 @@ be met.  The three series (a, b and log g) share one cutoff rule and one
 summation kernel, which adds the terms in fixed-size blocks, so memory stays
 flat however many terms a small d needs.  Quantities that would overflow a
 double (anything carrying exp(n d)) are handled in the log domain.
+
+log_partition_counts gives log p(m) in floats from the first term of the
+Hardy-Ramanujan-Rademacher series, within a stated error budget.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ToleranceError
+from .exact import partition_counts
 
 _TAIL_RTOL = 1e-12
 # a cutoff J with d J = 46 + 2 log(1/d) gives x^J = e^(-46) d^2 ~ 1e-20 d^2;
@@ -136,6 +140,55 @@ def log_hardy_ramanujan(n: int) -> float:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return math.pi * math.sqrt(2 * n / 3) - math.log(4 * n * math.sqrt(3))
+
+
+# from this m on, log_partition_counts takes Rademacher's first term in place
+# of the exact count
+RADEMACHER_FROM = 1000
+
+
+def log_partition_counts(n: int) -> np.ndarray:
+    """log p(m) for m = 0..n in floats, with no big integer past p(999):
+    math.log of the exact p(m) below RADEMACHER_FROM, and from there the
+    k = 1 term of the Hardy-Ramanujan-Rademacher series,
+
+        log p(m) ~ x - log 2 + log(x - 1) - 3 log(lam) - log(2 pi sqrt 2),
+        lam = sqrt(m - 1/24),  x = pi sqrt(2m/3 - 1/36) = pi lam sqrt(2/3).
+
+    The error budget, log_partition_error, has two parts:
+
+    * the omitted terms k >= 2, relatively O(e^(-x/2)) (Lehmer, "On the
+      series for the partition function", Trans. AMS 1938).  Measured
+      against the exact p(m), they are 0.70 e^(-x/2) for 50 <= m <= 1200;
+      from m = 1000 on, x >= 81 and they are below 1e-17.
+    * the float error of the evaluation, which grows with x: x carries
+      about three roundings relative to its size and each of the four
+      sums one more at the scale of x, so the error is below x 2^-50.
+      Measured: at most 2.3e-13, or 4.0 x 2^-53, over every
+      1000 <= m <= 1e5 against math.log of the exact p(m), and at most
+      4.9 x 2^-53 against the first term in 40-digit arithmetic at
+      about 21,000 m up to 1.3e6.
+    Below RADEMACHER_FROM the error is math.log's, under log p(m) 2^-52.
+    """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    log_p = np.empty(n + 1)
+    log_p[: min(n, RADEMACHER_FROM - 1) + 1] = [
+        math.log(v) for v in partition_counts(min(n, RADEMACHER_FROM - 1))
+    ]
+    m = np.arange(RADEMACHER_FROM, n + 1, dtype=float)
+    x = math.pi * np.sqrt(2 * m / 3 - 1 / 36)
+    log_p[RADEMACHER_FROM:] = (
+        x - math.log(2) + np.log(x - 1) - 3 * np.log(np.sqrt(m - 1 / 24))
+        - math.log(2 * math.pi * math.sqrt(2))
+    )
+    return log_p
+
+
+def log_partition_error(n: int) -> float:
+    """The error budget of log_partition_counts(n), over every m <= n:
+    x 2^-50 + 1e-17 at x = pi sqrt(2n/3), which bounds both parts."""
+    return math.pi * math.sqrt(2 * n / 3) * 2.0**-50 + 1e-17
 
 
 def log_euler_product(d: float) -> float:

@@ -4,15 +4,19 @@ Two interchangeable partition samplers draw from the uniform law on the
 partitions of n, the first exactly, the second up to two stated
 approximations:
 
-* ``exact-recursive`` — the table-driven pair recursion: draw a (part d,
-  repetition j) pair with probability d * p(m - j*d) / (m * p(m)), append j
-  copies of d, recurse on the remainder.  The removed total q = j*d is
-  located by an inverse-CDF walk that runs in floats only where a margin
-  certifies its answer and otherwise in exact big integers, so the law is
-  exact.  The part d is then picked among the divisors of q with weight
-  d, largest first over the cofactors j = 1, 2, ..., on the reflected
-  uniform.  Its uniform big integers come from one Mersenne Twister per
-  draw, seeded from 128 bits of the trial's stream.
+* ``exact-recursive`` — the pair recursion: draw a (part d, repetition j)
+  pair with probability d * p(m - j*d) / (m * p(m)), append j copies of d,
+  recurse on the remainder.  The removed total q = j*d is located by an
+  inverse-CDF walk of a uniform big integer below m * p(m).  Each step is
+  decided in floats built from Rademacher's first term for log p(m)
+  (asymptotics.log_partition_counts) wherever a margin of ten times the
+  float error bound certifies the answer, and otherwise in exact big
+  integers, so the law is exact; the big-integer table p(0..n) is built
+  only when such an undecided step needs it.  The part d is then picked
+  among the divisors of q with weight d, largest first over the cofactors
+  j = 1, 2, ..., on the reflected uniform.  Its uniform big integers come
+  from one Mersenne Twister per draw, seeded from 128 bits of the trial's
+  stream.
 
 * ``fristedt-rejection`` — independent geometric multiplicities l_j with
   success parameter 1 - w^j at w = exp(-pi / sqrt(6 n)) (Fristedt 1993),
@@ -48,6 +52,7 @@ from math import isqrt
 
 import numpy as np
 
+from . import asymptotics
 from .errors import ResourceError
 from .exact import partition_counts
 from .partitions import Cell, Partition, hook_length
@@ -121,8 +126,19 @@ def _pick_divisor(q: int, sigma_q: int, u: int) -> int:
     return q // j
 
 
+def _exact_walk(p, sigma, m: int, u: int) -> int:
+    """The inverse-CDF walk in exact big integers: the first q with
+    sum_{i <= q} sigma(i) p(m - i) > u, for u below m p(m)."""
+    acc = 0
+    for q in range(1, m + 1):
+        acc += sigma[q] * p[m - q]
+        if acc > u:
+            return q
+    raise RuntimeError(f"uniform {u} not below m p(m) at m={m}")
+
+
 class _ExactRecursiveSampler:
-    """Table-driven uniform sampler, shared across trials at fixed n.
+    """Uniform sampler, shared across trials at fixed n.
 
     Per step at remainder m, the removed total q = j*d is drawn with weight
     sigma(q) * p(m - q) (sigma = divisor sum), then d is picked among the
@@ -132,60 +148,93 @@ class _ExactRecursiveSampler:
     written to after construction.
 
     The weights of q sum to m * p(m), so q is located by inverse CDF: a
-    uniform big integer u below m * p(m) against the cumulative weights,
-    walked from q = 1.  The walk first runs in floats, vectorized over
-    blocks of q; it answers only when u / (m p(m)) clears both ends of its
-    interval by _SLACK, which bounds the float error with a wide margin.
-    Otherwise, and at small m, the walk runs in exact big integers.  Both
-    walks give the same q for the same u, so the law is exact and the
-    output does not depend on which walk answered.
+    uniform big integer v below m * p(m), drawn by masked rejection on
+    (m p(m) - 1).bit_length() bits, against the cumulative weights, walked
+    from q = 1.  Past m = 128 a step needs no exact p(m): the float tables
+    come from asymptotics.log_partition_counts, scaled by exp(-beta k) to
+    stay in range, and give per m the bit length and the scaled value of
+    the unit of v's top 53 bits.  Those bits decide the rejection test
+    v < m p(m), and place v for the float walk, which runs vectorized over
+    blocks of q.  Each float comparison answers only when it clears its
+    error bound ten times over: asymptotics.log_partition_error, the
+    roundings of the tables and, in the walk, those of the sums.  A
+    comparison that does not is settled in exact big integers: from a
+    caller's table, from the exact p(0..999) the sampler keeps, or from
+    exact.partition_counts, which builds the module's table the first time
+    it is needed.  Both routes read the same bits and pick the same q, so
+    the law is exact and the output does not depend on which answered.
+    Past n of about 1.26e6 the scaled tables leave float range and every
+    step is exact.
     """
 
     # at or below this remainder the exact walk is cheaper than numpy calls
     _EXACT_WALK_MAX = 128
-    # the float tables are exps of arguments below ~1e3 in size, within
-    # ~1e-11 relative of exact, so each float cumulative over m p(m) is
-    # within 1e-11 + q 2^-52 of the exact one
-    _SLACK = 1e-9
+    # every float comparison keeps this multiple of its error bound in hand
+    _HEADROOM = 10
 
     def __init__(self, n: int, ptable: list[int] | None = None):
         self.n = n
-        if ptable is None:
-            ptable = partition_counts(n)
-        if len(ptable) < n + 1:
+        if ptable is not None and len(ptable) < n + 1:
             raise ValueError(f"partition table too short for n={n}")
-        self.p = ptable
+        small = min(n, asymptotics.RADEMACHER_FROM - 1)
+        self._p = ptable if ptable is not None else partition_counts(small)
+        # sigma(q) by divisor pairs (d, q // d) with d <= sqrt(q)
         sigma = np.zeros(n + 1, dtype=np.int64)
-        for d in range(1, n + 1):
-            sigma[d::d] += d
-        self.sigma = sigma.tolist()
-        # float walk tables, scaled by exp(-beta k) to stay in range:
+        for d in range(1, isqrt(n) + 1):
+            j = np.arange(d, n // d + 1)
+            sigma[d * j] += d + j
+            sigma[d * d] -= d
+        self.sigma = sigma
+        self._sigma_list = sigma[: small + 1].tolist()
+        # float tables, scaled by exp(-beta k) to stay in range:
         # sigma(q) p(m - q) = e^(beta m) sigma_scaled[q] p_rev[n - m + q],
         # with p_rev reversed so that both slices of a walk are contiguous
-        log_p = np.array([math.log(v) for v in ptable[: n + 1]])
+        log_p = asymptotics.log_partition_counts(n)
         beta = log_p[n] / max(n, 1)
         k = np.arange(n + 1)
-        with np.errstate(over="ignore", under="ignore"):
+        # each entry below is within err, relative, of its exact scaled
+        # value: log p's budget, plus roundings of beta k and the exps; the
+        # walk's comparisons err by at most 4 err plus the sums' roundings
+        err = asymptotics.log_partition_error(n) + (float(log_p[n]) + 2) * 2.0**-51
+        self._tol = self._HEADROOM * 4 * err
+        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
             self._p_rev = np.exp(log_p - beta * k)[::-1].copy()
             self._sigma_scaled = sigma * np.exp(-beta * k)
-        if not np.isfinite(self._p_rev).all():
-            self._p_rev = None  # out of float range (n past ~1e6)
+            # the bit length of m p(m) - 1, where log2(m p(m)) is clear of
+            # an integer; 0 sends the step to exact integers
+            log2_total = (np.log(k) + log_p) / math.log(2)
+            frac = log2_total - np.floor(log2_total)
+            clear = (frac > self._tol) & (frac < 1 - self._tol)
+            width = np.where(clear, np.floor(log2_total) + 1, 0)
+            width[: self._EXACT_WALK_MAX + 1] = 0
+            if not np.isfinite(self._p_rev).all():
+                width[:] = 0  # out of float range (n past about 1.26e6)
+            self._width = width.astype(np.int64)
+            # 2^max(width - 53, 0), scaled: the unit of v's top 53 bits
+            self._unit = np.exp(np.maximum(width - 53, 0) * math.log(2) - beta * k)
 
-    def _float_walk(self, m: int, x: float) -> int:
-        """The q whose float cumulative interval holds x with the slack to
-        spare at both ends, else 0."""
+    def _exact(self, m: int):
+        """p(0..m) and sigma(0..m), or longer, indexable as Python ints."""
+        if m < len(self._sigma_list):
+            return self._p, self._sigma_list
+        return self._p if m < len(self._p) else partition_counts(m), memoryview(self.sigma)
+
+    def _float_walk(self, m: int, rest: float, total: float) -> int:
+        """The q whose float cumulative interval holds the scaled uniform
+        rest, with the slack to spare at both ends, else 0; total is the
+        scaled m p(m)."""
         p_rev, sigma_scaled = self._p_rev, self._sigma_scaled
         off = self.n - m
-        total = m * float(p_rev[off])
-        rest = x * total  # the target, less the cumulative of earlier blocks
-        slack = (self._SLACK + m * 1e-15) * total
         lo = 0
-        width = 4 * isqrt(m) + 16
+        width = 3 * isqrt(m) + 16
         while lo < m:
             hi = min(m, lo + width)
             cum = np.add.accumulate(sigma_scaled[lo + 1 : hi + 1] * p_rev[off + lo + 1 : off + hi + 1])
             i = int(cum.searchsorted(rest, side="right"))
             if i < hi - lo:
+                # the sums of up to hi terms and the block carries add
+                # (hi + 4) 2^-52 of total to the error bound
+                slack = (self._tol + self._HEADROOM * (hi + 4) * 2.0**-52) * total
                 left = float(cum[i - 1]) if i else 0.0
                 return lo + i + 1 if left + slack <= rest < float(cum[i]) - slack else 0
             rest -= float(cum[-1])
@@ -208,25 +257,35 @@ class _ExactRecursiveSampler:
                 if v < m:
                     return v
 
-        p = self.p
-        sigma = self.sigma
+        n, tol = self.n, self._tol
+        # memoryviews index as Python ints and floats, cheaper per step
+        # than numpy scalars
+        tables = (self._width, self._unit, self._p_rev, self.sigma)
+        widths, units, p_rev, sigma = map(memoryview, tables)
         parts: list[int] = []
-        m = self.n
+        m = n
         while m > 0:
-            # sum_q sigma(q) p(m - q) = m p(m): walk the cumulative past u
-            total = m * p[m]
-            u = below(total)
-            q = 0
-            if m > self._EXACT_WALK_MAX and self._p_rev is not None:
-                q = self._float_walk(m, u / total)
-            if not q:
-                acc = 0
-                for q in range(1, m + 1):
-                    acc += sigma[q] * p[m - q]
-                    if acc > u:
+            # sum_q sigma(q) p(m - q) = m p(m): walk the cumulative past v
+            w = widths[m]
+            if w:
+                # below(m p(m)) with each test decided in floats if it can
+                total = m * p_rev[n - m]
+                unit = units[m]
+                margin = tol * total
+                while True:
+                    v = bits(w)
+                    rest = (v >> (w - 53) if w > 53 else v) * unit
+                    if rest + unit + margin <= total:
                         break
+                    if rest - margin < total and v < m * self._exact(m)[0][m]:
+                        break
+                q = self._float_walk(m, rest, total) or _exact_walk(*self._exact(m), m, v)
+            else:
+                p, sig = self._exact(m)
+                q = _exact_walk(p, sig, m, below(m * p[m]))
             # the part d among the divisors of q, with weight d; j = q // d
-            d = _pick_divisor(q, sigma[q], below(sigma[q]))
+            s = sigma[q]
+            d = _pick_divisor(q, s, below(s))
             parts.extend([d] * (q // d))
             m -= q
         parts.sort(reverse=True)

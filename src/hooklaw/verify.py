@@ -191,7 +191,7 @@ def check_limit_monte_carlo(threads: int | None, quick: bool) -> tuple[bool, str
     return True, f"{ks_txt}; mean(n={mean_n}) = {mean:.5f} +- {band:.5f} vs {target:.5f}"
 
 
-def _partition_chisq(algorithm: str, count: int, threads: int | None) -> float:
+def _partition_chisq(algorithm: str, count: int) -> float:
     classes = [p.parts for p in exact.enumerate_all(5)]
     cfg = sampling.SamplerConfig(n=5, algorithm=algorithm, seed=VERIFY_SEED)
     sampler = sampling.make_sampler(cfg)
@@ -209,8 +209,8 @@ def check_sampler_uniformity(threads: int | None, quick: bool) -> tuple[bool, st
     seven partitions of 5, for both algorithms; plus the conditioning
     property of accepted rejection draws."""
     count = 20000 if quick else 100000
-    p_exact = _partition_chisq(sampling.EXACT_RECURSIVE, count, threads)
-    p_frist = _partition_chisq(sampling.FRISTEDT_REJECTION, count, threads)
+    p_exact = _partition_chisq(sampling.EXACT_RECURSIVE, count)
+    p_frist = _partition_chisq(sampling.FRISTEDT_REJECTION, count)
     if p_exact <= 0.001 or p_frist <= 0.001:
         return False, f"chi-square p-values {p_exact:.5f} / {p_frist:.5f}"
     cfg = sampling.SamplerConfig(n=37, algorithm=sampling.FRISTEDT_REJECTION, seed=VERIFY_SEED)

@@ -21,7 +21,7 @@ from hooklaw.asymptotics import (
     zeta,
 )
 from hooklaw.errors import ToleranceError
-from hooklaw.exact import partition_count
+from hooklaw.exact import partition_count, partition_counts
 from hooklaw.series import f_m_series, moment_coefficient
 
 RATE = math.pi / math.sqrt(6.0)
@@ -213,6 +213,33 @@ def test_hayman_ratio_window():
     for n in (50, 200, 800, 2000):
         ratio = math.exp(log_hayman_pn_estimate(n) - math.log(partition_count(n)))
         assert 0.9 < ratio < 1.1
+
+
+def test_log_partition_counts_within_budget_to_1e5():
+    # below 1000 the values are math.log of the exact counts; from there
+    # every m up to 1e5 is within the stated budget of math.log(p(m))
+    n = 10**5
+    log_p = asymptotics.log_partition_counts(n)
+    table = partition_counts(n)
+    assert log_p[:1000].tolist() == [math.log(v) for v in table[:1000]]
+    for m in range(1000, n + 1):
+        assert abs(log_p[m] - math.log(table[m])) <= asymptotics.log_partition_error(m), m
+
+
+def test_log_partition_float_error_within_budget_to_1_3e6():
+    # past the exact table, the float evaluation against the Rademacher
+    # first term in 40-digit arithmetic; the omitted terms are below 1e-17
+    n = 1_300_000
+    log_p = asymptotics.log_partition_counts(n)
+    rng = np.random.default_rng(5)
+    ms = sorted({1000, n, *rng.integers(1000, n, 300).tolist(), *range(n - 100, n)})
+    with mpmath.workdps(40):
+        for m in ms:
+            lam = mpmath.sqrt(mpmath.mpf(m) - mpmath.mpf(1) / 24)
+            x = mpmath.pi * mpmath.sqrt(mpmath.mpf(2) / 3) * lam
+            ref = x - mpmath.log(2) + mpmath.log(x - 1) - 3 * mpmath.log(lam)
+            ref -= mpmath.log(2 * mpmath.pi * mpmath.sqrt(2))
+            assert abs(log_p[m] - ref) <= asymptotics.log_partition_error(m), m
 
 
 def test_log_euler_product_closed_expansion():

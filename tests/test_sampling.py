@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, chi2_contingency
 
-from hooklaw import sampling
+from hooklaw import asymptotics, exact, sampling
 from hooklaw.errors import ResourceError
 from hooklaw.exact import enumerate_all, hook_distribution_via_part_counts, partition_counts
 from hooklaw.partitions import Cell, Partition
@@ -317,37 +317,81 @@ def test_exact_sampler_rejects_short_table():
         make_sampler(SamplerConfig(n=50), ptable=partition_counts(10))
 
 
-def _exact_walk(sampler, m, u):
+def _exact_walk(p, sigma, m, u):
     acc = 0
     for q in range(1, m + 1):
-        acc += sampler.sigma[q] * sampler.p[m - q]
+        acc += sigma[q] * p[m - q]
         if acc > u:
             return q
+
+
+def _float_place(sampler, m, u):
+    # the draw's float placement of a uniform u below m p(m): its top 53
+    # bits in the walk's scaled units, and the scaled m p(m)
+    w = int(sampler._width[m])
+    total = m * float(sampler._p_rev[sampler.n - m])
+    return (u >> max(w - 53, 0)) * float(sampler._unit[m]), total
 
 
 def test_float_walk_agrees_with_exact_walk():
     n = 3000
     p = partition_counts(n)
-    sampler = _ExactRecursiveSampler(n, p)
+    sampler = _ExactRecursiveSampler(n)
+    sigma = sampler.sigma.tolist()
     rnd = random.Random(SEED)
     answered = 0
     for _ in range(400):
         m = rnd.randint(sampler._EXACT_WALK_MAX + 1, n)
-        total = m * p[m]
-        u = rnd.randrange(total)
-        q = sampler._float_walk(m, u / total)
+        u = rnd.randrange(m * p[m])
+        q = sampler._float_walk(m, *_float_place(sampler, m, u))
         if q:
             answered += 1
-            assert q == _exact_walk(sampler, m, u)
+            assert q == _exact_walk(p, sigma, m, u)
     assert answered >= 398
     # u on an exact cumulative boundary lies within the slack: the float
     # walk declines and leaves the draw to the exact walk
     m = 2500
-    total = m * p[m]
     for q0 in (1, 7, 60):
-        boundary = sum(sampler.sigma[q] * p[m - q] for q in range(1, q0 + 1))
-        assert _exact_walk(sampler, m, boundary) == q0 + 1
-        assert sampler._float_walk(m, boundary / total) == 0
+        boundary = sum(sigma[q] * p[m - q] for q in range(1, q0 + 1))
+        assert _exact_walk(p, sigma, m, boundary) == q0 + 1
+        assert sampler._float_walk(m, *_float_place(sampler, m, boundary)) == 0
+
+
+def test_float_widths_are_exact_bit_lengths():
+    # every float-decided width is the bit length of m p(m) - 1, and at
+    # n = 1e5 none is left undecided
+    n = 10**5
+    p = partition_counts(n)
+    sampler = _ExactRecursiveSampler(n)
+    widths = sampler._width.tolist()
+    assert not any(widths[: sampler._EXACT_WALK_MAX + 1])
+    for m in range(sampler._EXACT_WALK_MAX + 1, n + 1):
+        assert widths[m] == (m * p[m] - 1).bit_length(), m
+
+
+def test_draw_path_builds_no_big_table(monkeypatch):
+    # the float route needs no p(m) past the exact p(0..999)
+    monkeypatch.setattr(exact, "_PTABLE", [1])
+    sampler = make_sampler(SamplerConfig(10**5, EXACT_RECURSIVE))
+    for trial in range(20):
+        assert sampler.draw(stream(SEED, trial)).n == 10**5
+    assert len(exact._PTABLE) <= 1001
+
+
+@pytest.mark.parametrize("n, count", [(3000, 50), (20000, 10)])
+def test_exact_route_draws_what_the_float_route_draws(monkeypatch, n, count):
+    # a caller's table changes nothing; and with the error budget widened
+    # past any use every step with m > 128 runs in exact integers, reading
+    # the same bits and giving the same draws
+    default = make_sampler(SamplerConfig(n, EXACT_RECURSIVE))
+    given = make_sampler(SamplerConfig(n, EXACT_RECURSIVE), ptable=partition_counts(n))
+    monkeypatch.setattr(asymptotics, "log_partition_error", lambda n: 1.0)
+    exact_only = make_sampler(SamplerConfig(n, EXACT_RECURSIVE))
+    assert not exact_only._width.any()
+    for trial in range(count):
+        want = default.draw(stream(SEED, trial))
+        assert given.draw(stream(SEED, trial)) == want
+        assert exact_only.draw(stream(SEED, trial)) == want
 
 
 def test_pick_divisor_matches_smallest_first_walk():
