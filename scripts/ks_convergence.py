@@ -2,9 +2,10 @@
 """KS distance to the limit law as a function of n.
 
 Emits CSV (n, count, ks_distance, ks_reference, mean_scaled, exact_ks) to
-stdout.  The exact_ks column is the sup distance of the *exact* finite-n
-law (from the counting table, no sampling noise), which shows how much of
-the empirical distance is lattice bias rather than Monte Carlo noise.
+stdout.  The exact_ks column is limitlaw.exact_sup_distance, the sup
+distance of the *exact* finite-n law (from the counting table, no sampling
+noise), which shows how much of the empirical distance is lattice bias
+rather than Monte Carlo noise.
 
 Example:
     python scripts/ks_convergence.py --sizes 100 1000 10000 --count 20000 --seed 7
@@ -14,24 +15,8 @@ import argparse
 import math
 import sys
 
-from hooklaw.exact import hook_distribution_via_part_counts
-from hooklaw.limitlaw import cdf, ks_statistic
-from hooklaw.sampling import SamplerConfig, sample_hooks, scale_hook
-
-
-def exact_sup_distance(n: int) -> float:
-    dist = hook_distribution_via_part_counts(n)
-    total = dist.total
-    acc = 0
-    worst = 0.0
-    for k in range(1, n + 1):
-        w = dist.weights.get(k, 0)
-        lo = acc / total
-        acc += w
-        hi = acc / total
-        model = cdf(scale_hook(k, n))
-        worst = max(worst, abs(model - lo), abs(model - hi))
-    return worst
+from hooklaw.limitlaw import exact_sup_distance, ks_statistic
+from hooklaw.sampling import SamplerConfig, sample_hooks
 
 
 def main() -> int:

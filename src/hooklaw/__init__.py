@@ -9,7 +9,7 @@ approaches the distribution with density 6u / (pi^2 (e^u - 1)).
 __version__ = "0.1.0"
 
 from .errors import ResourceError, ToleranceError
-from .partitions import Cell, Partition, cells, conjugate, hook_length, multiplicities, profile
+from .partitions import Cell, Partition, cells, conjugate, hook_length, profile
 
 __all__ = [
     "Cell",
@@ -19,7 +19,6 @@ __all__ = [
     "cells",
     "conjugate",
     "hook_length",
-    "multiplicities",
     "profile",
     "__version__",
 ]

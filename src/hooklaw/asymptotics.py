@@ -202,16 +202,6 @@ def log_euler_product(d: float) -> float:
     return value
 
 
-def _log_euler_product_expansion(d: float) -> float:
-    """Closed-form small-d expansion of log_euler_product, used only as a
-    cross-check: zeta(2)/d + (1/2) log d - (1/2) log(2 pi).
-
-    The two constants are the zeta values at 0 (-1/2, multiplying -log d)
-    and the derivative there (-(1/2) log 2 pi).
-    """
-    return ZETA2 / d + 0.5 * math.log(d) - 0.5 * math.log(2 * math.pi)
-
-
 def log_hayman_pn_estimate(n: int) -> float:
     """log of the saddle-point coefficient estimate
     exp(n d) g(e^(-d)) / sqrt(2 pi b(e^(-d))) at the solved saddle."""
@@ -247,17 +237,6 @@ def zeta(m: int) -> float:
 
 
 ZETA2 = math.pi**2 / 6
-
-
-def moment_Y_asymptotic(n: int, m: int) -> float:
-    """Leading-order expected m-th power sum of the parts:
-    (n / zeta(2))^((m+1)/2) * m! * zeta(m+1)."""
-    if n < 1 or m < 1:
-        raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
-    scale = (n / ZETA2) ** ((m + 1) / 2)
-    if m == 1:
-        return scale * ZETA2  # zeta(2) exactly; the estimate is exact here
-    return scale * math.factorial(m) * zeta(m + 1)
 
 
 _SHAPE_RATE = math.pi / math.sqrt(6.0)

@@ -2,13 +2,12 @@
 
 Everything here is integer- or rational-exact: the partition counting
 recurrence, streaming enumeration in reverse-lexicographic order, power-sum
-and hook-length moments, standard-tableaux counts, and the exact law of the
-hook length of a uniform cell in a uniform partition.
+and hook-length moments, and the exact law of the hook length of a uniform
+cell in a uniform partition.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -185,9 +184,6 @@ class ExactHookDistribution:
     def total(self) -> int:
         return self.n * partition_count(self.n)
 
-    def probability(self, h: int) -> Fraction:
-        return Fraction(self.weights.get(h, 0), self.total)
-
     def moment(self, m: int) -> Fraction:
         total = sum(h**m * w for h, w in self.weights.items())
         return Fraction(total, self.total)
@@ -235,18 +231,3 @@ def hook_distribution_via_part_counts(n: int) -> ExactHookDistribution:
     dist = ExactHookDistribution(n, weights)
     _check_mass(dist)
     return dist
-
-
-def tableaux_count(p: Partition) -> int:
-    """Number of standard fillings of the diagram: n! over the product of
-    all hook lengths.  The division is exact; a nonzero remainder would mean
-    the hook computation is broken, so it raises."""
-    if not p.parts:
-        raise ValueError("tableaux_count requires a nonempty partition")
-    prod = 1
-    for h in hook_lengths(p):
-        prod *= h
-    count, rem = divmod(math.factorial(p.n), prod)
-    if rem:
-        raise RuntimeError(f"hook product does not divide n! for {p}")
-    return count

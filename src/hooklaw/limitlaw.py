@@ -16,9 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .asymptotics import ZETA2, limit_shape, zeta
+from .asymptotics import ZETA2, zeta
 from .errors import ToleranceError
-from .partitions import Partition
+from .exact import hook_distribution_via_part_counts
 
 SIX_OVER_PI2 = 6.0 / math.pi**2
 LIMIT_MEAN = 12.0 * zeta(3) / math.pi**2  # ~ 1.4616
@@ -66,6 +66,28 @@ def cdf(y: float) -> float:
     if not tail <= 1e-12:
         raise ToleranceError(f"cdf tail bound {tail:.3e} not below 1e-12 at y={y}")
     return 1.0 - SIX_OVER_PI2 * remainder
+
+
+def scale_hook(hook: int, n: int) -> float:
+    """The paper's scaling of a hook length: pi * hook / sqrt(6 n)."""
+    return math.pi * hook / math.sqrt(6.0 * n)
+
+
+def exact_sup_distance(n: int) -> float:
+    """Sup distance of the exact law of scale_hook(Z_n, n) to the limit CDF,
+    taken on both sides of every atom.  The law comes from the counting
+    table, so the figure carries no sampling noise: it is the lattice bias
+    alone."""
+    dist = hook_distribution_via_part_counts(n)
+    total = dist.total
+    acc = 0
+    worst = 0.0
+    for k in range(1, n + 1):
+        lo = acc / total
+        acc += dist.weights.get(k, 0)
+        model = cdf(scale_hook(k, n))
+        worst = max(worst, abs(model - lo), abs(model - acc / total))
+    return worst
 
 
 def limit_moment(m: int) -> float:
@@ -141,18 +163,3 @@ def shape_grid(points: int = 400) -> np.ndarray:
     """Log-spaced abscissas from SHAPE_LO to SHAPE_HI on which diagram
     profiles are compared to the limit curve."""
     return np.geomspace(SHAPE_LO, SHAPE_HI, points)
-
-
-def shape_distance(p: Partition, grid: np.ndarray | None = None) -> float:
-    """Sup over the grid of |X(t sqrt(n))/sqrt(n) - s(t)|: the scaled
-    diagram profile against the limit-shape curve."""
-    if p.n < 1:
-        raise ValueError("shape_distance requires a nonempty partition")
-    if grid is None:
-        grid = shape_grid()
-    root = math.sqrt(p.n)
-    parts_asc = np.asarray(p.parts[::-1], dtype=float)
-    # profile(t') = number of parts >= t' for t' = t * sqrt(n)
-    heights = len(parts_asc) - np.searchsorted(parts_asc, grid * root, side="left")
-    curve = np.array([limit_shape(t) for t in grid])
-    return float(np.max(np.abs(heights / root - curve)))

@@ -9,7 +9,6 @@ literature draws diagrams top-down; everything here is bottom-up.)
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -52,14 +51,6 @@ class Partition:
     def __str__(self) -> str:
         return ",".join(str(part) for part in self.parts)
 
-    @classmethod
-    def from_text(cls, text: str) -> "Partition":
-        """Parse the canonical comma-separated form, e.g. ``"5,4,3,3,2,2,2,1"``."""
-        text = text.strip()
-        if not text:
-            return cls(())
-        return cls(tuple(int(tok) for tok in text.split(",")))
-
 
 def conjugate(p: Partition) -> Partition:
     """Transpose the Young diagram: column lengths become the new parts."""
@@ -74,11 +65,6 @@ def conjugate(p: Partition) -> Partition:
             k -= 1
         conj.append(k)
     return Partition(tuple(conj))
-
-
-def multiplicities(p: Partition) -> Counter[int]:
-    """Map part size j to its multiplicity (derived view of the parts)."""
-    return Counter(p.parts)
 
 
 def cells(p: Partition) -> Iterator[Cell]:

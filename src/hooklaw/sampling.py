@@ -55,6 +55,7 @@ import numpy as np
 from . import asymptotics
 from .errors import ResourceError
 from .exact import partition_counts
+from .limitlaw import scale_hook
 from .partitions import Cell, Partition, hook_length
 
 EXACT_RECURSIVE = "exact-recursive"
@@ -160,9 +161,10 @@ class _ExactRecursiveSampler:
     roundings of the tables and, in the walk, those of the sums.  A
     comparison that does not is settled in exact big integers: from a
     caller's table, from the exact p(0..999) the sampler keeps, or from
-    exact.partition_counts, which builds the module's table the first time
-    it is needed.  Both routes read the same bits and pick the same q, so
-    the law is exact and the output does not depend on which answered.
+    exact.partition_counts, fetched at most once per draw, which builds the
+    module's table the first time it is needed.  Both routes read the same
+    bits and pick the same q, so the law is exact and the output does not
+    depend on which answered.
     Past n of about 1.26e6 the scaled tables leave float range and every
     step is exact.
     """
@@ -213,12 +215,6 @@ class _ExactRecursiveSampler:
             # 2^max(width - 53, 0), scaled: the unit of v's top 53 bits
             self._unit = np.exp(np.maximum(width - 53, 0) * math.log(2) - beta * k)
 
-    def _exact(self, m: int):
-        """p(0..m) and sigma(0..m), or longer, indexable as Python ints."""
-        if m < len(self._sigma_list):
-            return self._p, self._sigma_list
-        return self._p if m < len(self._p) else partition_counts(m), memoryview(self.sigma)
-
     def _float_walk(self, m: int, rest: float, total: float) -> int:
         """The q whose float cumulative interval holds the scaled uniform
         rest, with the slack to spare at both ends, else 0; total is the
@@ -262,6 +258,20 @@ class _ExactRecursiveSampler:
         # than numpy scalars
         tables = (self._width, self._unit, self._p_rev, self.sigma)
         widths, units, p_rev, sigma = map(memoryview, tables)
+        p = self._p
+
+        def exact(m: int):
+            # p(0..m) and sigma(0..m), or longer, indexable as Python ints;
+            # past the sampler's own p, the module table is fetched at the
+            # first undecided step and kept: m only falls within a draw, so
+            # one fetch covers every later step
+            nonlocal p
+            if m < len(self._sigma_list):
+                return self._p, self._sigma_list
+            if m >= len(p):
+                p = partition_counts(m)
+            return p, sigma
+
         parts: list[int] = []
         m = n
         while m > 0:
@@ -277,12 +287,12 @@ class _ExactRecursiveSampler:
                     rest = (v >> (w - 53) if w > 53 else v) * unit
                     if rest + unit + margin <= total:
                         break
-                    if rest - margin < total and v < m * self._exact(m)[0][m]:
+                    if rest - margin < total and v < m * exact(m)[0][m]:
                         break
-                q = self._float_walk(m, rest, total) or _exact_walk(*self._exact(m), m, v)
+                q = self._float_walk(m, rest, total) or _exact_walk(*exact(m), m, v)
             else:
-                p, sig = self._exact(m)
-                q = _exact_walk(p, sig, m, below(m * p[m]))
+                table, sig = exact(m)
+                q = _exact_walk(table, sig, m, below(m * table[m]))
             # the part d among the divisors of q, with weight d; j = q // d
             s = sigma[q]
             d = _pick_divisor(q, s, below(s))
@@ -396,10 +406,6 @@ def observe_hook(cfg: SamplerConfig, trial: int) -> HookObservation:
     c = sample_cell(p, rng)
     hook = hook_length(p, c)
     return HookObservation(n=cfg.n, hook=hook, scaled=scale_hook(hook, cfg.n))
-
-
-def scale_hook(hook: int, n: int) -> float:
-    return math.pi * hook / math.sqrt(6.0 * n)
 
 
 def sample_hooks(cfg: SamplerConfig, count: int, threads: int | None = 1) -> list[HookObservation]:

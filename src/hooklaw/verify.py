@@ -236,7 +236,7 @@ def check_limit_law_internals(threads: int | None, quick: bool) -> tuple[bool, s
     if abs(limitlaw.limit_moment(2) - want) > 1e-8:
         return False, f"second moment {limitlaw.limit_moment(2)} vs {want}"
     rate = math.pi / math.sqrt(6.0)
-    for t in np.geomspace(0.05, 8.0, 50):
+    for t in limitlaw.shape_grid(points=50):
         s = asymptotics.limit_shape(float(t))
         resid = abs(math.exp(-rate * s) + math.exp(-rate * t) - 1.0)
         if resid >= 1e-12:

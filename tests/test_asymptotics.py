@@ -8,13 +8,11 @@ import pytest
 from hooklaw import asymptotics
 from hooklaw.asymptotics import (
     ZETA2,
-    _log_euler_product_expansion,
     d_n_expansion,
     limit_shape,
     log_euler_product,
     log_hardy_ramanujan,
     log_hayman_pn_estimate,
-    moment_Y_asymptotic,
     saddle_a,
     saddle_b,
     solve_saddle,
@@ -22,7 +20,7 @@ from hooklaw.asymptotics import (
 )
 from hooklaw.errors import ToleranceError
 from hooklaw.exact import partition_count, partition_counts
-from hooklaw.series import f_m_series, moment_coefficient
+from hooklaw.series import f_m_series
 
 RATE = math.pi / math.sqrt(6.0)
 
@@ -243,31 +241,19 @@ def test_log_partition_float_error_within_budget_to_1_3e6():
 
 
 def test_log_euler_product_closed_expansion():
-    # the documented cross-check: the closed-form expansion approaches the
-    # truncated series as d -> 0
+    # the truncated series approaches its closed small-d expansion
+    # zeta(2)/d + (1/2) log d - (1/2) log(2 pi) as d -> 0; the constants are
+    # the zeta values at 0 (-1/2, multiplying -log d) and the derivative
+    # there (-(1/2) log 2 pi)
+    def expansion(d):
+        return ZETA2 / d + 0.5 * math.log(d) - 0.5 * math.log(2 * math.pi)
+
     gaps = []
     for n in (100, 1000, 10000):
         d = solve_saddle(n).d_n
-        gaps.append(abs(log_euler_product(d) - _log_euler_product_expansion(d)))
+        gaps.append(abs(log_euler_product(d) - expansion(d)))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 1e-3
-
-
-def test_moment_asymptotic_m1_exact():
-    for n in (1, 10, 12345):
-        assert moment_Y_asymptotic(n, 1) == pytest.approx(float(n), rel=1e-12)
-
-
-def test_moment_asymptotic_growth_order():
-    # (m+1)/2 exponent: m = 3 grows like n^2
-    ratio = moment_Y_asymptotic(40000, 3) / moment_Y_asymptotic(10000, 3)
-    assert ratio == pytest.approx(16.0, rel=1e-9)
-
-
-def test_moment_asymptotic_matches_exact_at_2000():
-    coeff = moment_coefficient(2, 2000)
-    exact_val = coeff / partition_count(2000)
-    assert moment_Y_asymptotic(2000, 2) / exact_val == pytest.approx(1.0, abs=0.10)
 
 
 def test_limit_shape_symmetry_point():

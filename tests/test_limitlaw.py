@@ -6,21 +6,20 @@ from scipy.integrate import quad
 from scipy.stats import kstwobign
 
 from hooklaw.asymptotics import limit_shape, zeta
-from hooklaw.exact import hook_distribution_via_part_counts
 from hooklaw.limitlaw import (
     LIMIT_MEAN,
     SIX_OVER_PI2,
     GofReport,
     cdf,
     density,
+    exact_sup_distance,
     ks_statistic,
     limit_moment,
     quantile,
-    shape_distance,
     shape_grid,
 )
-from hooklaw.partitions import Partition, conjugate
-from hooklaw.sampling import SamplerConfig, sample_partition, scale_hook, stream
+from hooklaw.partitions import Partition, conjugate, profile
+from hooklaw.sampling import SamplerConfig, sample_partition, stream
 
 
 def test_density_at_zero_limit():
@@ -115,20 +114,6 @@ def test_ks_matches_scipy():
 
 def test_exact_cdf_distance_decreases_in_n():
     # no sampling noise: exact finite-n laws move toward the limit law
-    def exact_sup_distance(n):
-        dist = hook_distribution_via_part_counts(n)
-        total = dist.total
-        acc = 0
-        worst = 0.0
-        for k in range(1, n + 1):
-            w = dist.weights.get(k, 0)
-            lo = acc / total
-            acc += w
-            hi = acc / total
-            model = cdf(scale_hook(k, n))
-            worst = max(worst, abs(model - lo), abs(model - hi))
-        return worst
-
     d4, d8, d12 = (exact_sup_distance(n) for n in (4, 8, 12))
     assert d4 > d8 > d12
 
@@ -145,11 +130,12 @@ def test_gof_report_validation():
         )
 
 
-def test_shape_distance_smoke():
-    assert shape_distance(Partition((4, 3, 2, 1))) < math.inf
-    assert shape_distance(Partition((1,))) > 0
-    with pytest.raises(ValueError):
-        shape_distance(Partition(()))
+def shape_distance(p):
+    # sup over the shape grid of |X(t sqrt(n))/sqrt(n) - s(t)|: the scaled
+    # diagram profile against the limit-shape curve, as the shape_profile
+    # script prints them
+    root = math.sqrt(p.n)
+    return max(abs(profile(p, t * root) / root - limit_shape(t)) for t in shape_grid().tolist())
 
 
 def test_shape_distance_self_conjugate_exact():

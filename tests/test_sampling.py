@@ -394,6 +394,24 @@ def test_exact_route_draws_what_the_float_route_draws(monkeypatch, n, count):
         assert exact_only.draw(stream(SEED, trial)) == want
 
 
+def test_exact_route_fetches_the_table_once_per_draw(monkeypatch):
+    # with every step with m > 128 on the exact route, a draw fetches
+    # p(0..n) at its first step and reads it for every later one
+    n = 20000
+    monkeypatch.setattr(asymptotics, "log_partition_error", lambda n: 1.0)
+    sampler = make_sampler(SamplerConfig(n, EXACT_RECURSIVE))
+    fetches = []
+
+    def counting(m):
+        fetches.append(m)
+        return partition_counts(m)
+
+    monkeypatch.setattr(sampling, "partition_counts", counting)
+    for trial in range(10):
+        assert sampler.draw(stream(SEED, trial)).n == n
+    assert fetches == [n] * 10
+
+
 def test_pick_divisor_matches_smallest_first_walk():
     # every q <= 300 and every uniform u below sigma(q): the reflected
     # largest-first cofactor walk picks the divisor that a smallest-first

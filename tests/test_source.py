@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import hooklaw
@@ -45,3 +46,47 @@ def test_no_private_names_across_modules():
                     if private(alias.name)
                 ]
     assert not found, f"private names used across modules: {found}"
+
+
+
+def test_public_names_have_callers():
+    # every public top-level function and class of the package, and every
+    # public method, is named outside its own definition somewhere in the
+    # package, the scripts or the benchmark (tests aside), or is exported in
+    # __all__; code that only tests call belongs in the tests
+    root = Path(hooklaw.__file__).parents[2]
+    callers = [
+        path
+        for path in sorted((root / "scripts").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
+        if not path.name.startswith("test_") and path.name != "conftest.py"
+    ]
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES + callers}
+
+    def names(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+            elif isinstance(sub, ast.alias):
+                yield sub.name.rpartition(".")[2]
+
+    used = Counter(name for tree in trees.values() for name in names(tree))
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    unused = []
+    for path in SOURCES:
+        top = [node for node in trees[path].body if isinstance(node, defs)]
+        methods = [
+            node
+            for cls in top
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, defs)
+        ]
+        for node in top + methods:
+            if node.name.startswith("_") or node.name in hooklaw.__all__:
+                continue
+            if used[node.name] == Counter(names(node))[node.name]:
+                unused.append(f"{path.name}:{node.lineno} {node.name}")
+    assert len(callers) >= 2
+    assert not unused, f"public names with no caller outside their definition: {unused}"
