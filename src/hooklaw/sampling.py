@@ -6,17 +6,18 @@ approximations:
 
 * ``exact-recursive`` — the pair recursion: draw a (part d, repetition j)
   pair with probability d * p(m - j*d) / (m * p(m)), append j copies of d,
-  recurse on the remainder.  The removed total q = j*d is located by an
-  inverse-CDF walk of a uniform big integer below m * p(m).  Each step is
-  decided in floats built from Rademacher's first term for log p(m)
-  (asymptotics.log_partition_counts) wherever a margin of ten times the
-  float error bound certifies the answer, and otherwise in exact big
-  integers, so the law is exact; the big-integer table p(0..n) is built
-  only when such an undecided step needs it.  The part d is then picked
-  among the divisors of q with weight d, largest first over the cofactors
-  j = 1, 2, ..., on the reflected uniform.  Its uniform big integers come
-  from one Mersenne Twister per draw, seeded from 128 bits of the trial's
-  stream.
+  recurse on the remainder.  Each pair is drawn in O(1) expected time by
+  rejection from an envelope p(m - q) <= p(m) rho_m^q, which holds because
+  p is log-concave from 25 on (DeSalvo & Pak 2015): j from a fixed
+  proposal of tail about 1/j, d as 1 plus two geometric variables of ratio
+  rho_m^j, accepted with the exact ratio of target to proposal, about
+  pi^2/12 of the time.  rho_m comes from Rademacher's first term for
+  log p(m) (asymptotics.log_partition_counts) with a margin of 1e-9.  Each
+  comparison of a uniform is decided in floats when it clears a tolerance
+  of 1e-9 in log units, and otherwise in exact rationals, so the law is
+  exact; the big-integer table p(0..m) is built only when such an
+  undecided acceptance needs it.  The uniforms come from one Mersenne
+  Twister per draw, seeded from 128 bits of the trial's stream.
 
 * ``fristedt-rejection`` — independent geometric multiplicities l_j with
   success parameter 1 - w^j at w = exp(-pi / sqrt(6 n)) (Fristedt 1993),
@@ -47,8 +48,8 @@ import os
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import accumulate
-from math import isqrt
 
 import numpy as np
 
@@ -112,192 +113,150 @@ def stream(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _pick_divisor(q: int, sigma_q: int, u: int) -> int:
-    """The divisor d of q picked with weight d by a uniform u below
-    sigma_q = sigma(q): the d whose interval holds u when the divisors,
-    smallest first, tile [0, sigma_q).  The walk takes d = q // j over the
-    cofactors j = 1, 2, ..., largest d first, on the reflected uniform
-    sigma_q - 1 - u, which gives each d that same interval."""
-    w = sigma_q - 1 - u
-    j = 0
-    while w >= 0:
-        j += 1
-        if q % j == 0:
-            w -= q // j
-    return q // j
-
-
-def _exact_walk(p, sigma, m: int, u: int) -> int:
-    """The inverse-CDF walk in exact big integers: the first q with
-    sum_{i <= q} sigma(i) p(m - i) > u, for u below m p(m)."""
-    acc = 0
-    for q in range(1, m + 1):
-        acc += sigma[q] * p[m - q]
-        if acc > u:
-            return q
-    raise RuntimeError(f"uniform {u} not below m p(m) at m={m}")
-
-
 class _ExactRecursiveSampler:
     """Uniform sampler, shared across trials at fixed n.
 
-    Per step at remainder m, the removed total q = j*d is drawn with weight
-    sigma(q) * p(m - q) (sigma = divisor sum), then d is picked among the
-    divisors of q with weight d; this is exactly the (d, j) pair law above.
-    The pick is _pick_divisor's largest-first cofactor walk on the
-    reflected uniform, so the sampler keeps no divisor lists and is not
-    written to after construction.
+    A step at remainder m draws the pair (d, j) with probability
+    d p(m - dj) / (m p(m)) by rejection from a log-concave envelope.  p is
+    log-concave from 25 on (DeSalvo & Pak, Ramanujan J. 2015), so the ratio
+    p(k-1)/p(k) does not fall with k there, and p(m - q) <= p(m) rho_m^q for
+    every q <= m whenever rho_m >= p(m-1)/p(m) and m > 128.  The remaining
+    case, m - q < 26, follows from p(s)/p(26) <= (p(128)/p(129))^(26-s) for
+    s < 26, which the tests check with the envelope itself.  rho_m is
+    exp(log p(m-1) - log p(m) + 1e-9) with log p from
+    asymptotics.log_partition_counts; the margin exceeds twice
+    log_partition_error(n), 4.6e-11 at n = 1e8.  For m <= 128, rho_m is the
+    largest (p(m-q)/p(m))^(1/q), rounded up by 1 + 2^-40.
 
-    The weights of q sum to m * p(m), so q is located by inverse CDF: a
-    uniform big integer v below m * p(m), drawn by masked rejection on
-    (m p(m) - 1).bit_length() bits, against the cumulative weights, walked
-    from q = 1.  Past m = 128 a step needs no exact p(m): the float tables
-    come from asymptotics.log_partition_counts, scaled by exp(-beta k) to
-    stay in range, and give per m the bit length and the scaled value of
-    the unit of v's top 53 bits.  Those bits decide the rejection test
-    v < m p(m), and place v for the float walk, which runs vectorized over
-    blocks of q.  Each float comparison answers only when it clears its
-    error bound ten times over: asymptotics.log_partition_error, the
-    roundings of the tables and, in the walk, those of the sums.  A
-    comparison that does not is settled in exact big integers: from a
-    caller's table, from the exact p(0..999) the sampler keeps, or from
-    exact.partition_counts, fetched at most once per draw, which builds the
-    module's table the first time it is needed.  Both routes read the same
-    bits and pick the same q, so the law is exact and the output does not
-    depend on which answered.
-    Past n of about 1.26e6 the scaled tables leave float range and every
-    step is exact.
+    The proposal is j = 2^128 // (V + 1) for a uniform 128-bit V, of pmf
+    g(j) = (N//j - N//(j+1)) / N with N = 2^128, and d = 1 + G1 + G2 with
+    geometric G of ratio r = rho_m^j, P(G >= a) = r^a.  A pair with
+    dj <= m is accepted with chance
+
+        A = p(m - dj) / (p(m) rho_m^(dj)) * r / ((1 - r)^2 K_m g(j)),
+
+    K_m = 2 (1 + 2^-40) / tau^2, tau = -log rho_m.  The first factor is at
+    most 1 by the envelope; the second because r/(1-r)^2 <= (j tau)^-2 and
+    g(j) >= (1 - j(j+1)/N) / (j(j+1)).  Each accepted pair then has exactly
+    the target law, and a step takes K_m / m proposals, about 12/pi^2.
+
+    Every comparison of a uniform against a geometric boundary r^a or
+    against A is first made in floats on the uniform's top 64 bits, and it
+    answers when it clears _TOL in log units (the float error is below
+    1e-10 up to n = 1e8).  Otherwise it is settled in exact rationals:
+    rho_m is a float, so rho_m^k is rational, and p comes from the
+    sampler's table or from exact.partition_counts, fetched at most once
+    per draw.  The uniform is then refined 64 bits at a time while the
+    boundary lies inside its interval.  Either route reads the same bits
+    and gives the same answer, so the law is exact and the output does not
+    depend on which one answered.  The sampler is not written to after
+    construction.
     """
 
-    # at or below this remainder the exact walk is cheaper than numpy calls
-    _EXACT_WALK_MAX = 128
-    # every float comparison keeps this multiple of its error bound in hand
-    _HEADROOM = 10
+    # up to this remainder rho_m comes from the exact table
+    _SMALL = 128
+    # log margin of rho_m past _SMALL over p(m-1)/p(m)
+    _MARGIN = 1e-9
+    # a float comparison answers when it clears this, in log units
+    _TOL = 1e-9
+    # j = _BIG // (V + 1) for a uniform V below _BIG
+    _BIG = 1 << 128
 
     def __init__(self, n: int, ptable: list[int] | None = None):
         self.n = n
         if ptable is not None and len(ptable) < n + 1:
             raise ValueError(f"partition table too short for n={n}")
+        # rho_m's margin and the float comparisons' tolerance must exceed
+        # the error of two log p values and of the arithmetic on them, which
+        # holds up to n of about 1e10
+        if 4 * asymptotics.log_partition_error(n) >= min(self._MARGIN, self._TOL):
+            raise ValueError(f"n={n} past the range where the margin covers log p's error")
         small = min(n, asymptotics.RADEMACHER_FROM - 1)
         self._p = ptable if ptable is not None else partition_counts(small)
-        # sigma(q) by divisor pairs (d, q // d) with d <= sqrt(q)
-        sigma = np.zeros(n + 1, dtype=np.int64)
-        for d in range(1, isqrt(n) + 1):
-            j = np.arange(d, n // d + 1)
-            sigma[d * j] += d + j
-            sigma[d * d] -= d
-        self.sigma = sigma
-        self._sigma_list = sigma[: small + 1].tolist()
-        # float tables, scaled by exp(-beta k) to stay in range:
-        # sigma(q) p(m - q) = e^(beta m) sigma_scaled[q] p_rev[n - m + q],
-        # with p_rev reversed so that both slices of a walk are contiguous
-        log_p = asymptotics.log_partition_counts(n)
-        beta = log_p[n] / max(n, 1)
-        k = np.arange(n + 1)
-        # each entry below is within err, relative, of its exact scaled
-        # value: log p's budget, plus roundings of beta k and the exps; the
-        # walk's comparisons err by at most 4 err plus the sums' roundings
-        err = asymptotics.log_partition_error(n) + (float(log_p[n]) + 2) * 2.0**-51
-        self._tol = self._HEADROOM * 4 * err
-        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-            self._p_rev = np.exp(log_p - beta * k)[::-1].copy()
-            self._sigma_scaled = sigma * np.exp(-beta * k)
-            # the bit length of m p(m) - 1, where log2(m p(m)) is clear of
-            # an integer; 0 sends the step to exact integers
-            log2_total = (np.log(k) + log_p) / math.log(2)
-            frac = log2_total - np.floor(log2_total)
-            clear = (frac > self._tol) & (frac < 1 - self._tol)
-            width = np.where(clear, np.floor(log2_total) + 1, 0)
-            width[: self._EXACT_WALK_MAX + 1] = 0
-            if not np.isfinite(self._p_rev).all():
-                width[:] = 0  # out of float range (n past about 1.26e6)
-            self._width = width.astype(np.int64)
-            # 2^max(width - 53, 0), scaled: the unit of v's top 53 bits
-            self._unit = np.exp(np.maximum(width - 53, 0) * math.log(2) - beta * k)
-
-    def _float_walk(self, m: int, rest: float, total: float) -> int:
-        """The q whose float cumulative interval holds the scaled uniform
-        rest, with the slack to spare at both ends, else 0; total is the
-        scaled m p(m)."""
-        p_rev, sigma_scaled = self._p_rev, self._sigma_scaled
-        off = self.n - m
-        lo = 0
-        width = 3 * isqrt(m) + 16
-        while lo < m:
-            hi = min(m, lo + width)
-            cum = np.add.accumulate(sigma_scaled[lo + 1 : hi + 1] * p_rev[off + lo + 1 : off + hi + 1])
-            i = int(cum.searchsorted(rest, side="right"))
-            if i < hi - lo:
-                # the sums of up to hi terms and the block carries add
-                # (hi + 4) 2^-52 of total to the error bound
-                slack = (self._tol + self._HEADROOM * (hi + 4) * 2.0**-52) * total
-                left = float(cum[i - 1]) if i else 0.0
-                return lo + i + 1 if left + slack <= rest < float(cum[i]) - slack else 0
-            rest -= float(cum[-1])
-            lo = hi
-            width *= 2
-        return 0
+        self._lp = lp = asymptotics.log_partition_counts(n)
+        rho = np.zeros(n + 1)
+        rho[1:] = np.exp(lp[:-1] - lp[1:] + self._MARGIN)
+        k = min(n, self._SMALL)
+        m = np.arange(2, k + 1)[:, None]
+        q = np.arange(1, k + 1)
+        slope = np.where(q <= m, (lp[np.maximum(m - q, 0)] - lp[m]) / q, -np.inf)
+        rho[2 : k + 1] = np.exp(slope.max(axis=1)) * (1 + 2.0**-40)
+        self._rho = rho
 
     def draw(self, rng: np.random.Generator) -> Partition:
         # one Mersenne Twister per draw, seeded from 128 bits of the trial's
         # stream; getrandbits is used directly because randrange's
         # algorithm may change between Python versions
         bits = random.Random(int.from_bytes(rng.bytes(16), "little")).getrandbits
-
-        def below(m: int) -> int:
-            # masked rejection: (m - 1).bit_length() random bits until one
-            # is below m; no bits are drawn when m == 1
-            width = (m - 1).bit_length()
-            while True:
-                v = bits(width)
-                if v < m:
-                    return v
-
-        n, tol = self.n, self._tol
-        # memoryviews index as Python ints and floats, cheaper per step
-        # than numpy scalars
-        tables = (self._width, self._unit, self._p_rev, self.sigma)
-        widths, units, p_rev, sigma = map(memoryview, tables)
+        # memoryviews index as Python floats, cheaper per step than numpy
+        # scalars
+        lp, rhos = memoryview(self._lp), memoryview(self._rho)
+        tol, log, big = self._TOL, math.log, self._BIG
         p = self._p
 
-        def exact(m: int):
-            # p(0..m) and sigma(0..m), or longer, indexable as Python ints;
-            # past the sampler's own p, the module table is fetched at the
-            # first undecided step and kept: m only falls within a draw, so
-            # one fetch covers every later step
-            nonlocal p
-            if m < len(self._sigma_list):
-                return self._p, self._sigma_list
-            if m >= len(p):
-                p = partition_counts(m)
-            return p, sigma
+        def less(u: list[int], x: Fraction) -> bool:
+            # whether U < x, for U in [v, v + 1) / 2^b with u = [v, b];
+            # U gains 64 bits while x lies inside its interval
+            while True:
+                v, b = u
+                if (v + 1) * x.denominator <= x.numerator << b:
+                    return True
+                if v * x.denominator >= x.numerator << b:
+                    return False
+                u[:] = v << 64 | bits(64), b + 64
+
+        def geometric(lr: float, rho: float, j: int) -> int:
+            # the largest a with U < r^a, r = rho^j and lr = log r
+            # U lies in [v, v + 1) / 2^64, so log U is within 1/v above lo
+            v = bits(64)
+            lo = log((v or 1) * 2.0**-64)
+            a = int(lo / lr)
+            if v and (a + 1) * lr + tol <= lo and a * lr - tol >= lo + 1 / v:
+                return a
+            u, r = [v, 64], Fraction(rho) ** j
+            while a and not less(u, r**a):
+                a -= 1
+            while less(u, r ** (a + 1)):
+                a += 1
+            return a
 
         parts: list[int] = []
-        m = n
-        while m > 0:
-            # sum_q sigma(q) p(m - q) = m p(m): walk the cumulative past v
-            w = widths[m]
-            if w:
-                # below(m p(m)) with each test decided in floats if it can
-                total = m * p_rev[n - m]
-                unit = units[m]
-                margin = tol * total
-                while True:
-                    v = bits(w)
-                    rest = (v >> (w - 53) if w > 53 else v) * unit
-                    if rest + unit + margin <= total:
+        m = self.n
+        while m > 1:
+            rho = rhos[m]
+            lrho = log(rho)
+            k = 2 * (1 + 2.0**-40) / (lrho * lrho)
+            base = lp[m] + log(k)
+            while True:
+                j = big // (bits(128) + 1)
+                if j > m:
+                    continue
+                lr = j * lrho
+                d = 1 + geometric(lr, rho, j) + geometric(lr, rho, j)
+                q = d * j
+                if q > m:
+                    continue
+                # log A, up to float error
+                la = lp[m - q] - (q - j) * lrho - 2 * log(-math.expm1(lr)) + log(j * (j + 1)) - base
+                v = bits(64)
+                if v:
+                    lo = log(v * 2.0**-64)
+                    if lo + 1 / v + tol <= la:
                         break
-                    if rest - margin < total and v < m * exact(m)[0][m]:
-                        break
-                q = self._float_walk(m, rest, total) or _exact_walk(*exact(m), m, v)
-            else:
-                table, sig = exact(m)
-                q = _exact_walk(table, sig, m, below(m * table[m]))
-            # the part d among the divisors of q, with weight d; j = q // d
-            s = sigma[q]
-            d = _pick_divisor(q, s, below(s))
-            parts.extend([d] * (q // d))
+                    if lo - tol >= la:
+                        continue
+                if m >= len(p):
+                    # m only falls within a draw: one fetch covers every later step
+                    p = partition_counts(m)
+                x = Fraction(rho)
+                r = x**j
+                g = Fraction(big // j - big // (j + 1), big)
+                accept = Fraction(p[m - q], p[m]) / x**q * r / ((1 - r) ** 2 * Fraction(k) * g)
+                if less([v, 64], accept):
+                    break
+            parts.extend([d] * j)
             m -= q
+        parts.extend([1] * m)
         parts.sort(reverse=True)
         return Partition(tuple(parts))
 

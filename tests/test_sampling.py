@@ -1,7 +1,7 @@
 import copy
 import math
-import random
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +17,6 @@ from hooklaw.sampling import (
     SamplerConfig,
     _ExactRecursiveSampler,
     _FristedtSampler,
-    _pick_divisor,
     cell_from_index,
     default_algorithm,
     make_sampler,
@@ -102,6 +101,7 @@ def test_uniformity_chisq(n, algorithm):
         pytest.param(EXACT_RECURSIVE, 100, 40000, id="100"),
         pytest.param(EXACT_RECURSIVE, 1000, 40000, id="1000"),
         pytest.param(EXACT_RECURSIVE, 10000, 6000, id="10000"),
+        pytest.param(EXACT_RECURSIVE, 100000, 6000, id="100000"),
         pytest.param(FRISTEDT_REJECTION, 100, 40000, id="fristedt-rejection-100"),
         pytest.param(FRISTEDT_REJECTION, 1000, 40000, id="fristedt-rejection-1000"),
         pytest.param(FRISTEDT_REJECTION, 10000, 6000, id="fristedt-rejection-10000"),
@@ -317,89 +317,75 @@ def test_exact_sampler_rejects_short_table():
         make_sampler(SamplerConfig(n=50), ptable=partition_counts(10))
 
 
-def _exact_walk(p, sigma, m, u):
-    acc = 0
-    for q in range(1, m + 1):
-        acc += sigma[q] * p[m - q]
-        if acc > u:
-            return q
+def test_exact_sampler_rejects_n_past_its_margin(monkeypatch):
+    # rho_m must bound p(m-1)/p(m) despite the error of both log p values
+    monkeypatch.setattr(asymptotics, "log_partition_error", lambda n: 1e-9 * (n > 40))
+    assert make_sampler(SamplerConfig(n=40, algorithm=EXACT_RECURSIVE)).n == 40
+    with pytest.raises(ValueError, match="margin"):
+        make_sampler(SamplerConfig(n=41, algorithm=EXACT_RECURSIVE))
 
 
-def _float_place(sampler, m, u):
-    # the draw's float placement of a uniform u below m p(m): its top 53
-    # bits in the walk's scaled units, and the scaled m p(m)
-    w = int(sampler._width[m])
-    total = m * float(sampler._p_rev[sampler.n - m])
-    return (u >> max(w - 53, 0)) * float(sampler._unit[m]), total
-
-
-def test_float_walk_agrees_with_exact_walk():
+def test_envelope_bounds_every_step():
+    # p(m - q) <= p(m) rho_m^q, the bound that keeps every acceptance
+    # chance at most 1
     n = 3000
-    p = partition_counts(n)
+    p = partition_counts(n + 1)
     sampler = _ExactRecursiveSampler(n)
-    sigma = sampler.sigma.tolist()
-    rnd = random.Random(SEED)
-    answered = 0
-    for _ in range(400):
-        m = rnd.randint(sampler._EXACT_WALK_MAX + 1, n)
-        u = rnd.randrange(m * p[m])
-        q = sampler._float_walk(m, *_float_place(sampler, m, u))
-        if q:
-            answered += 1
-            assert q == _exact_walk(p, sigma, m, u)
-    assert answered >= 398
-    # u on an exact cumulative boundary lies within the slack: the float
-    # walk declines and leaves the draw to the exact walk
-    m = 2500
-    for q0 in (1, 7, 60):
-        boundary = sum(sigma[q] * p[m - q] for q in range(1, q0 + 1))
-        assert _exact_walk(p, sigma, m, boundary) == q0 + 1
-        assert sampler._float_walk(m, *_float_place(sampler, m, boundary)) == 0
-
-
-def test_float_widths_are_exact_bit_lengths():
-    # every float-decided width is the bit length of m p(m) - 1, and at
-    # n = 1e5 none is left undecided
-    n = 10**5
-    p = partition_counts(n)
-    sampler = _ExactRecursiveSampler(n)
-    widths = sampler._width.tolist()
-    assert not any(widths[: sampler._EXACT_WALK_MAX + 1])
-    for m in range(sampler._EXACT_WALK_MAX + 1, n + 1):
-        assert widths[m] == (m * p[m] - 1).bit_length(), m
+    rho = sampler._rho.tolist()
+    # m <= 128, where rho_m comes from the exact table: in exact rationals
+    for m in range(2, sampler._SMALL + 1):
+        r = Fraction(rho[m])
+        for q in range(1, m + 1):
+            assert r**q * p[m] >= p[m - q], (m, q)
+    # past 128, in math.log of the exact counts, with at least half the
+    # 1e-9 margin per unit of q left over
+    lp = np.array([math.log(v) for v in p])
+    for m in range(sampler._SMALL + 1, n + 1):
+        q = np.arange(1, m + 1)
+        spare = q * math.log(rho[m]) - (lp[m - q] - lp[m])
+        assert (spare >= 0.5e-9 * q).all(), m
+    # the finite steps behind the envelope at every larger m, in exact
+    # integers: log-concavity from 26 on, which makes p(k-1)/p(k) rise with
+    # k there, and the drop below 26 against the ratio at 129
+    for k in range(26, n + 1):
+        assert p[k] ** 2 > p[k - 1] * p[k + 1], k
+    for s in range(26):
+        assert p[s] * p[129] ** (26 - s) <= p[26] * p[128] ** (26 - s), s
 
 
 def test_draw_path_builds_no_big_table(monkeypatch):
-    # the float route needs no p(m) past the exact p(0..999)
-    monkeypatch.setattr(exact, "_PTABLE", [1])
-    sampler = make_sampler(SamplerConfig(10**5, EXACT_RECURSIVE))
-    for trial in range(20):
-        assert sampler.draw(stream(SEED, trial)).n == 10**5
-    assert len(exact._PTABLE) <= 1001
+    # no step needs p(m) past the exact p(0..999), and n has no float-range
+    # limit: p(n) itself overflows a double from n of about 8e4 on
+    for n in (10**6, 2 * 10**6):
+        monkeypatch.setattr(exact, "_PTABLE", [1])
+        sampler = make_sampler(SamplerConfig(n, EXACT_RECURSIVE))
+        for trial in range(20):
+            assert sampler.draw(stream(SEED, trial)).n == n
+        assert len(exact._PTABLE) <= 1001, n
 
 
 @pytest.mark.parametrize("n, count", [(3000, 50), (20000, 10)])
 def test_exact_route_draws_what_the_float_route_draws(monkeypatch, n, count):
-    # a caller's table changes nothing; and with the error budget widened
-    # past any use every step with m > 128 runs in exact integers, reading
-    # the same bits and giving the same draws
+    # a caller's table changes nothing; and with the decision tolerance
+    # raised past any use every comparison is settled in exact rationals,
+    # reading the same bits and giving the same draws
     default = make_sampler(SamplerConfig(n, EXACT_RECURSIVE))
     given = make_sampler(SamplerConfig(n, EXACT_RECURSIVE), ptable=partition_counts(n))
-    monkeypatch.setattr(asymptotics, "log_partition_error", lambda n: 1.0)
-    exact_only = make_sampler(SamplerConfig(n, EXACT_RECURSIVE))
-    assert not exact_only._width.any()
-    for trial in range(count):
-        want = default.draw(stream(SEED, trial))
-        assert given.draw(stream(SEED, trial)) == want
-        assert exact_only.draw(stream(SEED, trial)) == want
+    want = [default.draw(stream(SEED, trial)) for trial in range(count)]
+    assert [given.draw(stream(SEED, trial)) for trial in range(count)] == want
+    monkeypatch.setattr(_ExactRecursiveSampler, "_TOL", 1e9)
+    for sampler in (default, given):
+        assert [sampler.draw(stream(SEED, trial)) for trial in range(count)] == want
 
 
 def test_exact_route_fetches_the_table_once_per_draw(monkeypatch):
-    # with every step with m > 128 on the exact route, a draw fetches
-    # p(0..n) at its first step and reads it for every later one
+    # with every comparison on the exact route, a draw fetches p(0..n) at
+    # its first step and reads it for every later one; a caller's table
+    # needs no fetch
     n = 20000
-    monkeypatch.setattr(asymptotics, "log_partition_error", lambda n: 1.0)
-    sampler = make_sampler(SamplerConfig(n, EXACT_RECURSIVE))
+    monkeypatch.setattr(_ExactRecursiveSampler, "_TOL", 1e9)
+    default = make_sampler(SamplerConfig(n, EXACT_RECURSIVE))
+    given = make_sampler(SamplerConfig(n, EXACT_RECURSIVE), ptable=partition_counts(n))
     fetches = []
 
     def counting(m):
@@ -408,24 +394,9 @@ def test_exact_route_fetches_the_table_once_per_draw(monkeypatch):
 
     monkeypatch.setattr(sampling, "partition_counts", counting)
     for trial in range(10):
-        assert sampler.draw(stream(SEED, trial)).n == n
+        assert default.draw(stream(SEED, trial)).n == n
+        assert given.draw(stream(SEED, trial)).n == n
     assert fetches == [n] * 10
-
-
-def test_pick_divisor_matches_smallest_first_walk():
-    # every q <= 300 and every uniform u below sigma(q): the reflected
-    # largest-first cofactor walk picks the divisor that a smallest-first
-    # walk over the divisors, with interval length d each, picks
-    for q in range(1, 301):
-        divisors = [d for d in range(1, q + 1) if q % d == 0]
-        sigma_q = sum(divisors)
-        for u in range(sigma_q):
-            acc = 0
-            for d in divisors:
-                acc += d
-                if acc > u:
-                    break
-            assert _pick_divisor(q, sigma_q, u) == d, (q, u)
 
 
 def test_draws_leave_exact_sampler_unchanged():
