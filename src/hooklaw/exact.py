@@ -122,16 +122,6 @@ def iter_partitions(n: int) -> Iterator[Partition]:
             a.append(surplus)
 
 
-def enumerate_all(n: int) -> list[Partition]:
-    """Materialize all of iter_partitions(n); refuses n beyond the cap."""
-    if n > ENUMERATION_CAP:
-        raise ResourceError(
-            f"n={n} exceeds the enumeration cap {ENUMERATION_CAP}; use iter_partitions "
-            f"for streaming access"
-        )
-    return list(iter_partitions(n))
-
-
 def moment_Y(n: int, m: int) -> Fraction:
     """Expected m-th power sum of the parts of a uniform random partition.
 
@@ -142,6 +132,8 @@ def moment_Y(n: int, m: int) -> Fraction:
         raise ValueError(f"n must be >= 1, got {n}")
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
+    if n > ENUMERATION_CAP:
+        raise ResourceError(f"n={n} exceeds the enumeration cap {ENUMERATION_CAP}")
     total = 0
     count = 0
     for p in iter_partitions(n):
@@ -152,21 +144,13 @@ def moment_Y(n: int, m: int) -> Fraction:
 
 def moment_Z(n: int, m: int) -> Fraction:
     """Expected m-th power of the hook length of a uniform cell of a uniform
-    partition, computed directly over all (partition, cell) pairs.
+    partition: the m-th moment of exact_hook_distribution(n).
 
-    Each pair carries mass 1/(n p(n)).  Agrees exactly with
-    moment_Y(n, m + 1) / n.
+    Agrees exactly with moment_Y(n, m + 1) / n.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
-    total = 0
-    count = 0
-    for p in iter_partitions(n):
-        total += sum(h**m for h in hook_lengths(p))
-        count += 1
-    return Fraction(total, n * count)
+    return exact_hook_distribution(n).moment(m)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from scipy.integrate import quad
 from scipy.stats import chi2
 
 from . import asymptotics, exact, limitlaw, sampling, series
-from .partitions import Cell, Partition, conjugate, hook_length, hook_lengths
+from .partitions import Cell, Partition, conjugate, hook_length
 
 VERIFY_SEED = 20250810
 
@@ -42,17 +42,9 @@ def check_hook_powersum_identity(threads: int | None, quick: bool) -> tuple[bool
     lambda_j^(m+1) over all partitions, exactly."""
     nmax = 8 if quick else 12
     for n in range(1, nmax + 1):
-        hook_sums = [0] * 5
-        part_sums = [0] * 5
-        for p in exact.iter_partitions(n):
-            for h in hook_lengths(p):
-                for m in range(1, 5):
-                    hook_sums[m] += h**m
-            for part in p.parts:
-                for m in range(1, 5):
-                    part_sums[m] += part ** (m + 1)
+        hooks = exact.exact_hook_distribution(n)
         for m in range(1, 5):
-            if hook_sums[m] != part_sums[m]:
+            if n * hooks.moment(m) != exact.moment_Y(n, m + 1):
                 return False, f"identity broken at n={n}, m={m}"
     return True, f"exact for n <= {nmax}, m <= 4"
 
@@ -192,7 +184,7 @@ def check_limit_monte_carlo(threads: int | None, quick: bool) -> tuple[bool, str
 
 
 def _partition_chisq(algorithm: str, count: int) -> float:
-    classes = [p.parts for p in exact.enumerate_all(5)]
+    classes = [p.parts for p in exact.iter_partitions(5)]
     cfg = sampling.SamplerConfig(n=5, algorithm=algorithm, seed=VERIFY_SEED)
     sampler = sampling.make_sampler(cfg)
     freq: Counter = Counter()

@@ -59,7 +59,7 @@ def test_exact_moments_of_hook_law():
     proc = run("exact", "--n", "7", "--m", "4")
     assert proc.returncode == 0, proc.stderr
     e_z = json.loads(proc.stdout)["E_Z"]
-    assert e_z == [str(exact.moment_Z(7, k)) for k in range(5)]
+    assert e_z == ["1"] + [str(exact.moment_Y(7, k + 1) / 7) for k in range(1, 5)]
 
 
 def test_exact_over_cap_exits_three():

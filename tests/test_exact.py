@@ -6,7 +6,6 @@ import pytest
 from hooklaw import exact
 from hooklaw.errors import ResourceError
 from hooklaw.exact import (
-    enumerate_all,
     exact_hook_distribution,
     hook_distribution_via_part_counts,
     iter_partitions,
@@ -87,17 +86,20 @@ def test_reverse_lex_order_property():
 
 
 def test_enumerate_examples():
-    assert [p.parts for p in enumerate_all(3)] == [(3,), (2, 1), (1, 1, 1)]
-    assert [p.parts for p in enumerate_all(1)] == [(1,)]
-    assert len(enumerate_all(4)) == partition_count(4) == 5
-    assert enumerate_all(0) == [Partition(())]
+    assert [p.parts for p in iter_partitions(3)] == [(3,), (2, 1), (1, 1, 1)]
+    assert [p.parts for p in iter_partitions(1)] == [(1,)]
+    assert len(list(iter_partitions(4))) == partition_count(4) == 5
+    assert list(iter_partitions(0)) == [Partition(())]
 
 
 def test_enumeration_cap(monkeypatch):
-    with pytest.raises(ResourceError, match="streaming"):
-        enumerate_all(61)
-    monkeypatch.setattr(exact, "ENUMERATION_CAP", 61)
-    assert len(enumerate_all(61)) == partition_count(61)
+    # every routine that walks all partitions of n refuses n past the cap
+    monkeypatch.setattr(exact, "ENUMERATION_CAP", 10)
+    assert sum(exact_hook_distribution(10).weights.values()) == 10 * partition_count(10)
+    assert moment_Z(10, 1) == moment_Y(10, 2) / 10
+    for walk in (exact_hook_distribution, lambda n: moment_Z(n, 1), lambda n: moment_Y(n, 1)):
+        with pytest.raises(ResourceError, match="cap 10"):
+            walk(11)
 
 
 def test_moment_Y_values():
@@ -150,8 +152,9 @@ def test_hook_distribution_mass_and_support():
         assert sum(dist.weights.values()) == n * partition_count(n)
         assert max(dist.weights) <= n
         assert min(dist.weights) == 1
-        for m in range(5):
-            assert dist.moment(m) == moment_Z(n, m)
+        assert dist.moment(0) == 1
+        for m in range(1, 5):
+            assert dist.moment(m) == moment_Y(n, m + 1) / n
 
 
 def test_hook_distribution_routes_agree():

@@ -9,7 +9,7 @@ from scipy.stats import chi2, chi2_contingency
 
 from hooklaw import asymptotics, exact, sampling
 from hooklaw.errors import ResourceError
-from hooklaw.exact import enumerate_all, hook_distribution_via_part_counts, partition_counts
+from hooklaw.exact import hook_distribution_via_part_counts, iter_partitions, partition_counts
 from hooklaw.partitions import Cell, Partition
 from hooklaw.sampling import (
     EXACT_RECURSIVE,
@@ -36,7 +36,7 @@ def _draws(n, algorithm, count, seed=SEED):
 
 
 def _uniform_chisq_pvalue(n, algorithm, count):
-    classes = [p.parts for p in enumerate_all(n)]
+    classes = [p.parts for p in iter_partitions(n)]
     freq = Counter(p.parts for p in _draws(n, algorithm, count))
     expected = count / len(classes)
     stat = sum((freq.get(c, 0) - expected) ** 2 / expected for c in classes)
@@ -378,25 +378,23 @@ def test_exact_route_draws_what_the_float_route_draws(monkeypatch, n, count):
         assert [sampler.draw(stream(SEED, trial)) for trial in range(count)] == want
 
 
-def test_exact_route_fetches_the_table_once_per_draw(monkeypatch):
-    # with every comparison on the exact route, a draw fetches p(0..n) at
-    # its first step and reads it for every later one; a caller's table
-    # needs no fetch
-    n = 20000
+def test_exact_route_reads_counts_at_a_point(monkeypatch):
+    # with every comparison on the exact route, a draw reads p(m) and
+    # p(m - dj) through exact.partition_count: the module table grows to n
+    # at the first step, and nothing copies it
+    n, count = 20000, 10
+    sampler = make_sampler(SamplerConfig(n, EXACT_RECURSIVE))
+    want = [sampler.draw(stream(SEED, trial)) for trial in range(count)]
     monkeypatch.setattr(_ExactRecursiveSampler, "_TOL", 1e9)
-    default = make_sampler(SamplerConfig(n, EXACT_RECURSIVE))
-    given = make_sampler(SamplerConfig(n, EXACT_RECURSIVE), ptable=partition_counts(n))
-    fetches = []
+    monkeypatch.setattr(exact, "_PTABLE", [1])
 
-    def counting(m):
-        fetches.append(m)
-        return partition_counts(m)
+    def copied(limit):
+        raise AssertionError("table copied on the draw path")
 
-    monkeypatch.setattr(sampling, "partition_counts", counting)
-    for trial in range(10):
-        assert default.draw(stream(SEED, trial)).n == n
-        assert given.draw(stream(SEED, trial)).n == n
-    assert fetches == [n] * 10
+    monkeypatch.setattr(exact, "partition_counts", copied)
+    monkeypatch.setattr(sampling, "partition_counts", copied, raising=False)
+    assert [sampler.draw(stream(SEED, trial)) for trial in range(count)] == want
+    assert len(exact._PTABLE) == n + 1
 
 
 def test_draws_leave_exact_sampler_unchanged():
