@@ -8,6 +8,7 @@ cell in a uniform partition.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -134,12 +135,21 @@ def moment_Y(n: int, m: int) -> Fraction:
         raise ValueError(f"m must be nonnegative, got {m}")
     if n > ENUMERATION_CAP:
         raise ResourceError(f"n={n} exceeds the enumeration cap {ENUMERATION_CAP}")
-    total = 0
+    sizes, count = _part_sizes(n)
+    return Fraction(sum(c * s**m for s, c in sizes), count)
+
+
+@functools.lru_cache(maxsize=8)
+def _part_sizes(n: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """One walk over the partitions of n for every power moment_Y reads:
+    the pairs (s, number of parts of size s over all partitions), and the
+    number of partitions."""
+    sizes: Counter[int] = Counter()
     count = 0
     for p in iter_partitions(n):
-        total += sum(part**m for part in p.parts)
+        sizes.update(p.parts)
         count += 1
-    return Fraction(total, count)
+    return tuple(sizes.items()), count
 
 
 def moment_Z(n: int, m: int) -> Fraction:

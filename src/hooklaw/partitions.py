@@ -32,14 +32,18 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        prev = None
-        for part in self.parts:
-            if part < 1:
-                raise ValueError(f"parts must be positive, got {part}")
-            if prev is not None and part > prev:
-                raise ValueError(f"parts must be weakly decreasing: {self.parts}")
-            prev = part
-        object.__setattr__(self, "_n", sum(self.parts))
+        parts = self.parts
+        # the check at C speed (sorting a decreasing sequence is one linear
+        # pass); the loop runs only to name what failed
+        if parts and not (parts[-1] >= 1 and list(parts) == sorted(parts, reverse=True)):
+            prev = None
+            for part in parts:
+                if part < 1:
+                    raise ValueError(f"parts must be positive, got {part}")
+                if prev is not None and part > prev:
+                    raise ValueError(f"parts must be weakly decreasing: {parts}")
+                prev = part
+        object.__setattr__(self, "_n", sum(parts))
 
     @property
     def n(self) -> int:

@@ -102,6 +102,26 @@ def test_enumeration_cap(monkeypatch):
             walk(11)
 
 
+def test_moment_Y_walks_once_for_every_power(monkeypatch):
+    # one walk over the partitions of n serves every power, and gives what
+    # a walk per power gives
+    walks = []
+    walk = exact.iter_partitions
+
+    def counting(n):
+        walks.append(n)
+        return walk(n)
+
+    monkeypatch.setattr(exact, "iter_partitions", counting)
+    exact._part_sizes.cache_clear()
+    for n in (1, 9, 16):
+        count = partition_count(n)
+        for m in range(6):
+            want = Fraction(sum(part**m for p in walk(n) for part in p.parts), count)
+            assert moment_Y(n, m) == want, (n, m)
+    assert walks == [1, 9, 16]
+
+
 def test_moment_Y_values():
     assert moment_Y(3, 2) == Fraction(17, 3)
     assert moment_Y(2, 2) == Fraction(3)

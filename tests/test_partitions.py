@@ -43,10 +43,16 @@ def test_conjugate_empty():
 
 
 def test_validation():
-    with pytest.raises(ValueError):
+    # the fast check lets the loop name the first fault, as it always has
+    with pytest.raises(ValueError, match=r"weakly decreasing: \(1, 2\)"):
         Partition((1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="positive, got 0"):
         Partition((2, 0))
+    with pytest.raises(ValueError, match="positive, got -1"):
+        Partition((3, -1, 2))
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        Partition((3, 1, 2, 1))
+    assert Partition((3, 3, 1)).n == 7
 
 
 def test_text_roundtrip():

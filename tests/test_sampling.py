@@ -1,5 +1,6 @@
 import copy
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -12,14 +13,18 @@ from hooklaw.errors import ResourceError
 from hooklaw.exact import hook_distribution_via_part_counts, iter_partitions, partition_counts
 from hooklaw.partitions import Cell, Partition
 from hooklaw.sampling import (
+    _BLOCK,
     EXACT_RECURSIVE,
     FRISTEDT_REJECTION,
     SamplerConfig,
     _ExactRecursiveSampler,
+    _draw_seed,
     _FristedtSampler,
+    _pair_j,
     cell_from_index,
     default_algorithm,
     make_sampler,
+    observe_hook,
     sample_cell,
     sample_hooks,
     sample_partition,
@@ -402,6 +407,8 @@ def test_draws_leave_exact_sampler_unchanged():
     before = copy.deepcopy(vars(sampler))
     for trial in range(50):
         sampler.draw(stream(SEED, trial))
+    for _ in sampler.draw_block(list(range(2 * sampler._FEW))):
+        pass
     after = vars(sampler)
     assert after.keys() == before.keys()
     for name, value in before.items():
@@ -409,3 +416,64 @@ def test_draws_leave_exact_sampler_unchanged():
             assert np.array_equal(after[name], value), name
         else:
             assert after[name] == value, name
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 100, 129, 3000, 20000, 100000])
+def test_block_draws_match_per_trial_draws(n):
+    # the lockstep block path of sample_hooks gives, byte for byte, what
+    # observe_hook gives trial by trial, for every block split and worker
+    # split; a count of 1 runs its one lane through the scalar step alone
+    cfg = SamplerConfig(n, EXACT_RECURSIVE, SEED)
+    want = [observe_hook(cfg, trial) for trial in range(2 * _BLOCK + 3)]
+    for count in (1, _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 3):
+        for threads in (1, 2):
+            assert sample_hooks(cfg, count, threads=threads) == want[:count], (count, threads)
+
+
+@pytest.mark.parametrize("n, ptable", [(3000, False), (3000, True), (20000, False)])
+def test_block_draws_through_the_exact_route(monkeypatch, n, ptable):
+    # with the float tolerance raised past any use, every proposal of the
+    # block path is left undecided and re-run by the scalar step from its
+    # saved word, settled in exact rationals, with or without a table
+    count = 2 * _ExactRecursiveSampler._FEW + 3
+    cfg = SamplerConfig(n, EXACT_RECURSIVE, SEED)
+    sampler = make_sampler(cfg, ptable=partition_counts(n) if ptable else None)
+    want = [sampler.draw(stream(SEED, trial)) for trial in range(count)]
+    monkeypatch.setattr(_ExactRecursiveSampler, "_TOL", 1e9)
+    got = [None] * count
+    for i, p in sampler.draw_block([_draw_seed(stream(SEED, trial)) for trial in range(count)]):
+        got[i] = p
+    assert got == want
+
+
+def test_sample_hooks_draws_the_exact_route_in_blocks(monkeypatch):
+    # sample_hooks on the exact route never falls back to per-trial draws
+    def per_trial(self, rng):
+        raise AssertionError("per-trial draw on the block path")
+
+    cfg = SamplerConfig(3000, EXACT_RECURSIVE, SEED)
+    want = [observe_hook(cfg, trial) for trial in range(40)]
+    monkeypatch.setattr(_ExactRecursiveSampler, "draw", per_trial)
+    for count in (2, 40):
+        assert sample_hooks(cfg, count, threads=1) == want[:count]
+
+
+def test_pair_j_is_exact():
+    # min(2^128 // (V + 1), m + 1) from the two 64-bit words of V, on random
+    # V, on V + 1 at and next to 2^128 // k for k around m, where the float
+    # quotient lands on or beside an integer, and on V + 1 a power of two
+    big = 1 << 128
+    gen = random.Random(SEED)
+    values, bounds = [], []
+    for m in (1, 2, 3, 100, 129, 4097, 10**5, 10**6, 10**8):
+        near = [big // k + e for k in range(max(1, m - 3), m + 4) for e in (-2, -1, 0, 1, 2)]
+        near += [1 << e for e in range(0, 129, 7)]
+        picked = [gen.getrandbits(128) + 1 for _ in range(200)]
+        picked += [gen.randrange(big // (m + 2), big // max(m - 2, 1)) for _ in range(200)]
+        for v1 in near + picked:
+            values.append(min(max(v1, 1), big) - 1)
+            bounds.append(m)
+    lo = np.array([v % 2**64 for v in values], np.uint64)
+    hi = np.array([v >> 64 for v in values], np.uint64)
+    want = [min(big // (v + 1), m + 1) for v, m in zip(values, bounds)]
+    assert _pair_j(lo, hi, np.array(bounds, np.int64)).tolist() == want
