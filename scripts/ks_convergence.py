@@ -12,7 +12,6 @@ Example:
 """
 
 import argparse
-import math
 import sys
 
 from hooklaw.limitlaw import exact_sup_distance, ks_statistic
@@ -32,10 +31,9 @@ def main() -> int:
         cfg = SamplerConfig(n=n, seed=args.seed)
         obs = sample_hooks(cfg, args.count, threads=args.threads)
         report = ks_statistic([o.scaled for o in obs], n=n)
-        reference = 1.95 / math.sqrt(args.count)
         exact = exact_sup_distance(n) if n <= 200000 else float("nan")
         print(
-            f"{n},{args.count},{report.ks_distance:.6f},{reference:.6f},"
+            f"{n},{args.count},{report.ks_distance:.6f},{report.ks_reference:.6f},"
             f"{report.mean_scaled:.6f},{exact:.6f}"
         )
         sys.stdout.flush()

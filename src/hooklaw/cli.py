@@ -99,8 +99,14 @@ def cmd_pn(args, out: _Output) -> int:
     return 0
 
 
+def _at_least(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise ValueError(f"{flag} must be >= {low}, got {value}")
+
+
 def cmd_exact(args, out: _Output) -> int:
     n, m = args.n, args.m
+    _at_least("--m", m, 0)
     dist = exact.exact_hook_distribution(n)
     payload = {
         "n": str(n),
@@ -167,6 +173,7 @@ def cmd_asym(args, out: _Output) -> int:
 
 
 def cmd_shape(args, out: _Output) -> int:
+    _at_least("--points", args.points, 1)
     lines = ["t,s"]
     for t in limitlaw.shape_grid(points=args.points):
         s = asymptotics.limit_shape(float(t))
@@ -227,7 +234,7 @@ def cmd_ks(args, out: _Output) -> int:
         "sample_count": str(report.sample_count),
         "ks_distance": report.ks_distance,
         "ks_location": report.ks_location,
-        "ks_reference": 1.95 / math.sqrt(report.sample_count),
+        "ks_reference": report.ks_reference,
         "mean_scaled": report.mean_scaled,
         "limit_mean": limitlaw.LIMIT_MEAN,
         "moment_ratios": list(report.moment_ratios),
@@ -238,6 +245,7 @@ def cmd_ks(args, out: _Output) -> int:
 
 def cmd_limit(args, out: _Output) -> int:
     k = args.grid
+    _at_least("--grid", k, 1)
     lines = ["u,density,cdf"]
     for i in range(1, k + 1):
         u = 8.0 * i / k

@@ -114,12 +114,16 @@ def quantile(prob: float) -> float:
 
 @dataclass(frozen=True)
 class GofReport:
-    """Goodness-of-fit summary of a batch of scaled hook observations."""
+    """Goodness-of-fit summary of a batch of scaled hook observations.
+    ks_reference is 1.95/sqrt(sample_count), the KS distance that a sample
+    of that size from the law it is compared with exceeds with chance about
+    0.001 (Kolmogorov's limit law)."""
 
     n: int | None
     sample_count: int
     ks_distance: float
     ks_location: float
+    ks_reference: float
     mean_scaled: float
     moment_ratios: tuple[float, ...]
 
@@ -134,8 +138,8 @@ def ks_statistic(sample: Sequence[float], n: int | None = None) -> GofReport:
     first two sample-to-limit moment ratios.
 
     No p-value is attached: at finite n the sample is not drawn from the
-    limit law, so the report leaves significance to the caller (the
-    reference line 1.95/sqrt(count) is easy to compare against).
+    limit law, so the report leaves significance to the caller, with the
+    reference line ks_reference to compare against.
     """
     if len(sample) == 0:
         raise ValueError("ks_statistic requires a nonempty sample")
@@ -154,6 +158,7 @@ def ks_statistic(sample: Sequence[float], n: int | None = None) -> GofReport:
         sample_count=count,
         ks_distance=float(gaps[at]),
         ks_location=float(values[at]),
+        ks_reference=1.95 / math.sqrt(count),
         mean_scaled=mean,
         moment_ratios=(mean / limit_moment(1), msq / limit_moment(2)),
     )

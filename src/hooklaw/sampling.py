@@ -48,11 +48,14 @@ word first).  One numpy iteration makes one proposal (j, G1, G2,
 acceptance) for every unfinished lane and decides each comparison in
 floats by draw's rule.  That rule answers only where the exact route gives
 the same answer from the same bits, so the last-bit differences between
-numpy's and math's log or expm1 cannot change a decision.  A proposal left
-undecided, or with a zero word, is run again from the lane's saved word by
-draw's own scalar step, which also finishes the last few lanes.  Every
-lane thus reads the words draw reads and decides as draw decides, and the
-observations are byte for byte those of observe_hook, trial by trial.
+numpy's and math's log or expm1 cannot change a decision.  A lane leaves
+the lockstep one way, through draw's own loop (_finish): when it is done,
+when its floats leave a proposal undecided, or when few lanes remain.
+_finish seeds the lane's generator again and skips the words the lane has
+read, so it takes the lane up at its next unread word (a lane that is done
+reads no word).  Every lane thus reads the words draw reads and decides as
+draw decides, and the observations are byte for byte those of
+observe_hook, trial by trial.
 """
 
 from __future__ import annotations
@@ -178,10 +181,14 @@ class _ExactRecursiveSampler:
     import, Linux x86-64).  It is not written to after construction.
 
     draw_block makes the draws of a block of seeds in lockstep, as the
-    module docstring describes.  A lane holds a Mersenne Twister (2.6 KB),
-    _WORDS = 256 buffered words (2 KB), and its steps as int32 (d, j) pairs
-    in an array that grows in place, 8 bytes a step (about 400 steps at
-    n = 1e5).  For 160 lanes at n = 1e5 that is a traced peak of 1.5 MiB,
+    module docstring describes.  Each lane leaves through _finish, which
+    seeds the lane's generator again, unless the lane is done, and skips the
+    words the lane has read: those drawn from the generator less the
+    buffered ones not yet read.  That costs a lane tens of microseconds
+    against a draw's milliseconds, and keeps one scalar driver.  A lane
+    holds a Mersenne Twister (2.6 KB), _WORDS = 256 buffered words (2 KB),
+    and its steps as int32 (d, j) pairs in an array that grows in place, 8
+    bytes a step (about 400 steps at n = 1e5).  For 160 lanes at n = 1e5 that is a traced peak of 1.5 MiB,
     and perfbench's mc-exact-n1e5 reads a peak RSS 1.95 MiB above the
     per-trial path's (40.29 -> 42.24 MiB).  On a 2-CPU host a block of 160
     cost 0.63-0.91 ms per observation with its cell and hook, against
@@ -223,25 +230,26 @@ class _ExactRecursiveSampler:
         self._rho = rho
 
     def draw(self, rng: np.random.Generator) -> Partition:
-        # getrandbits is used directly because randrange's algorithm may
-        # change between Python versions
-        step = self._stepper(random.Random(_draw_seed(rng)).getrandbits)
-        parts: list[int] = []
-        m = self.n
-        while m > 1:
-            d, j = step(m)
-            parts.extend([d] * j)
-            m -= d * j
-        parts.extend([1] * m)
-        parts.sort(reverse=True)
-        return Partition(tuple(parts))
+        return self._finish(_draw_seed(rng), 0, [], self.n)
 
-    def _stepper(self, bits):
-        """step(m), the pair (d, j) of one step at remainder m, drawn by
-        rejection with its uniforms read from bits(k), k = 64 or 128.  The
-        one implementation of the exact route: draw runs every proposal
-        through it, draw_block the proposals its floats leave undecided and
-        the steps of its last few lanes."""
+    def _finish(self, seed: int, read: int, parts: list[int], m: int) -> Partition:
+        """The partition of the draw whose Mersenne Twister is seeded with
+        seed, taken up after its first read 64-bit words, with the parts
+        drawn so far (in descending order) and remainder m: the pairs (d, j)
+        of each step, drawn by rejection, until the remainder is at most 1.
+        The one implementation of the exact route's step: draw runs a whole
+        draw through it, draw_block the rest of each lane."""
+        if m <= 1:
+            # a lane that is done reads no word and holds its parts in
+            # order, so it neither seeds, skips nor sorts: at n = 1e5 the
+            # skip of a whole draw's 2,500 words alone takes about 46 us, 5 %
+            # of an observation on the block path
+            return Partition(tuple(parts + [1] * m))
+        # getrandbits is used directly because randrange's algorithm may
+        # change between Python versions; getrandbits(64 k) reads the words
+        # of k calls of getrandbits(64), and getrandbits(0) reads none
+        bits = random.Random(seed).getrandbits
+        bits(64 * read)
         # memoryviews index as Python floats, cheaper per step than numpy
         # scalars
         lp, rhos = memoryview(self._lp), memoryview(self._rho)
@@ -304,7 +312,13 @@ class _ExactRecursiveSampler:
                 if less([v, 64], accept):
                     return d, j
 
-        return step
+        while m > 1:
+            d, j = step(m)
+            parts.extend([d] * j)
+            m -= d * j
+        parts.extend([1] * m)
+        parts.sort(reverse=True)
+        return Partition(tuple(parts))
 
     def draw_block(self, seeds: list[int]) -> Iterator[tuple[int, Partition]]:
         """The partitions of draws from the given _draw_seed values, made in
@@ -319,68 +333,39 @@ class _ExactRecursiveSampler:
         for i, bits in enumerate(gens):
             words[i] = _words(bits, width)
         flat = words.reshape(-1)
-        # the unfinished lanes, and for each the start of its buffer in
-        # flat, its next unread word and its remainder
+        # the lanes still in lockstep, and for each the start of its buffer
+        # in flat, its next unread word, the words drawn from its generator
+        # (the buffer holds the last width of them) and its remainder
         lane = np.arange(len(gens))
         row = lane * width
         at = np.zeros(len(gens), np.int64)
+        taken = np.full(len(gens), width, np.int64)
         m = np.full(len(gens), n, np.int64)
         # pairs[s, :, k] is the (d, j) pair of step s of lane k; it grows
         # along its first axis, in place, so that no copy of it is made
         pairs = np.zeros((64, 2, len(gens)), np.int32)
         steps = np.zeros(len(gens), np.int64)
-
-        def grow(rows):
-            if rows > len(pairs):
-                pairs.resize((max(rows, 2 * len(pairs)), 2, len(gens)), refcheck=False)
-
-        def record(lanes, d, j):
-            # one step each for distinct lanes
-            if len(lanes):
-                grow(steps[lanes].max() + 1)
-            pairs[steps[lanes], 0, lanes] = d
-            pairs[steps[lanes], 1, lanes] = j
-            steps[lanes] += 1
-
-        def scalar(i, finish):
-            # one step of the lane at position i, or all of its steps,
-            # through _stepper from its next unread word
-            k = lane[i]
-            buffered = _Buffered(words[k, at[i] :].tolist(), gens[k])
-            step = self._stepper(buffered)
-            rest, taken, direct = int(m[i]), [], False
-            while rest > 1:
-                d, j = step(rest)
-                taken.append((d, j))
-                rest -= d * j
-                if not finish:
-                    break
-                if not direct and buffered.used >= len(buffered.words):
-                    # the buffer is spent: read the generator directly
-                    step, direct = self._stepper(gens[k]), True
-            grow(steps[k] + len(taken))
-            pairs[steps[k] : steps[k] + len(taken), :, k] = taken
-            steps[k] += len(taken)
-            m[i] = rest
-            at[i] = min(at[i] + buffered.used, width)
+        # a lane leaves when it is done, when its last proposal was left
+        # undecided, or when few lanes are left; _finish takes it up at its
+        # next unread word
+        leave = m <= 1
 
         offsets = np.arange(5)[:, None]
-        while True:
-            done = m <= 1
-            if done.any():
-                for i in np.flatnonzero(done):
-                    k = lane[i]
-                    parts = np.repeat(pairs[: steps[k], 0, k], pairs[: steps[k], 1, k])
-                    parts = np.sort(parts)[::-1].tolist() + [1] * int(m[i])
-                    yield int(k), Partition(tuple(parts))
-                keep = ~done
-                lane, row, at, m = lane[keep], row[keep], at[keep], m[keep]
-            if not len(lane):
-                return
+        while len(lane):
             if len(lane) <= self._FEW:
-                for i in range(len(lane)):
-                    scalar(i, finish=True)
-                continue
+                leave[:] = True
+            if leave.any():
+                for i in np.flatnonzero(leave):
+                    k = lane[i]
+                    # sorted in numpy, faster than list.sort on these parts;
+                    # _finish's sort then finds them in order
+                    parts = np.sort(np.repeat(pairs[: steps[k], 0, k], pairs[: steps[k], 1, k]))
+                    read = int(taken[i] - width + at[i])
+                    yield int(k), self._finish(seeds[k], read, parts[::-1].tolist(), int(m[i]))
+                keep = ~leave
+                lane, row, at, taken, m = lane[keep], row[keep], at[keep], taken[keep], m[keep]
+                if not len(lane):
+                    return
             # lanes with fewer than the five words of a proposal left
             # shift them to the front and refill from their generator
             for i in (at > width - 5).nonzero()[0].tolist():
@@ -388,9 +373,10 @@ class _ExactRecursiveSampler:
                 words[k, : width - start] = words[k, start:]
                 words[k, width - start :] = _words(gens[k], start)
                 at[i] = 0
+                taken[i] += start
             # one proposal per lane: j from words 0 and 1, G1 and G2
             # from 2 and 3, the acceptance from 4; each decided in
-            # floats by draw's rule, or else left to the scalar step
+            # floats by draw's rule, or else left to _finish
             w = flat[row + at + offsets]
             j = _pair_j(w[0], w[1], m)
             v = w[2:].astype(np.float64)
@@ -412,14 +398,18 @@ class _ExactRecursiveSampler:
             accept = nonzero[2] & (u[2] + inv[2] + tol <= la)
             reject = nonzero[2] & (u[2] - tol >= la)
             took = fits & geo & inside & accept
-            # words read: 2 for a j past m, 4 for a q past m, else 5
-            used = np.where(fits, 4 + inside, 2)
-            at += used
-            record(lane[took], d[took], j[took])
+            undecided = fits & ~(geo & (~inside | accept | reject))
+            # words read: 2 for a j past m, 4 for a q past m, else 5; an
+            # undecided proposal is read again by _finish
+            at += np.where(undecided, 0, np.where(fits, 4 + inside, 2))
+            lanes = lane[took]
+            if len(lanes) and steps[lanes].max() >= len(pairs):
+                pairs.resize((2 * len(pairs), 2, len(gens)), refcheck=False)
+            pairs[steps[lanes], 0, lanes] = d[took]
+            pairs[steps[lanes], 1, lanes] = j[took]
+            steps[lanes] += 1
             m -= np.where(took, q, 0).astype(np.int64)
-            for i in (fits & ~(geo & (~inside | accept | reject))).nonzero()[0]:
-                at[i] -= used[i]
-                scalar(i, finish=False)
+            leave = undecided | (m <= 1)
 
 
 def _draw_seed(rng: np.random.Generator) -> int:
@@ -433,23 +423,6 @@ def _words(bits, k: int) -> np.ndarray:
     give them: getrandbits(64 k) holds them in order, least significant
     first."""
     return np.frombuffer(bits(64 * k).to_bytes(8 * k, "little"), "<u8")
-
-
-class _Buffered:
-    """bits(k), k a multiple of 64, over a lane's buffered words and then
-    its generator, so that bits(128) is two words, low one first, as
-    getrandbits(128) is; used counts the words read."""
-
-    def __init__(self, words: list[int], getrandbits):
-        self.words, self.getrandbits, self.used = words, getrandbits, 0
-
-    def __call__(self, k: int) -> int:
-        x = 0
-        for shift in range(0, k, 64):
-            w = self.words[self.used] if self.used < len(self.words) else self.getrandbits(64)
-            self.used += 1
-            x |= w << shift
-        return x
 
 
 def _pair_j(lo: np.ndarray, hi: np.ndarray, m: np.ndarray) -> np.ndarray:

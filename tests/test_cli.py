@@ -40,6 +40,10 @@ def test_bad_argument_value_exits_two():
     assert "usage error" in proc.stderr
     proc = run("pn", "--n", "-3")
     assert proc.returncode == 2
+    for args in (("exact", "--n", "5", "--m", "-1"), ("limit", "--grid", "-3"), ("shape", "--points", "0")):
+        proc = run(*args)
+        assert proc.returncode == 2, args
+        assert "usage error" in proc.stderr, args
 
 
 def test_exact_json_payload():

@@ -125,6 +125,7 @@ def test_gof_report_validation():
             sample_count=1,
             ks_distance=1.5,
             ks_location=0.0,
+            ks_reference=1.95,
             mean_scaled=1.0,
             moment_ratios=(1.0,),
         )

@@ -430,16 +430,23 @@ def test_block_draws_match_per_trial_draws(n):
             assert sample_hooks(cfg, count, threads=threads) == want[:count], (count, threads)
 
 
-@pytest.mark.parametrize("n, ptable", [(3000, False), (3000, True), (20000, False)])
-def test_block_draws_through_the_exact_route(monkeypatch, n, ptable):
-    # with the float tolerance raised past any use, every proposal of the
-    # block path is left undecided and re-run by the scalar step from its
-    # saved word, settled in exact rationals, with or without a table
+@pytest.mark.parametrize(
+    "n, ptable, tol",
+    [(3000, False, 1e9), (3000, True, 1e9), (20000, False, 1e9), (20000, False, 1e-5)],
+    ids=["3000-False", "3000-True", "20000-False", "20000-False-1e-05"],
+)
+def test_block_draws_through_the_exact_route(monkeypatch, n, ptable, tol):
+    # a lane whose proposal the floats leave undecided leaves the lockstep,
+    # and the scalar step takes it up from that proposal's first word,
+    # re-seeding its generator and skipping the words read before.  With a
+    # tolerance of 1e9 every lane leaves at its first proposal, settled in
+    # exact rationals, with or without a table; with 1e-5 some lanes leave
+    # mid-block, after a refill of their buffered words
     count = 2 * _ExactRecursiveSampler._FEW + 3
     cfg = SamplerConfig(n, EXACT_RECURSIVE, SEED)
     sampler = make_sampler(cfg, ptable=partition_counts(n) if ptable else None)
     want = [sampler.draw(stream(SEED, trial)) for trial in range(count)]
-    monkeypatch.setattr(_ExactRecursiveSampler, "_TOL", 1e9)
+    monkeypatch.setattr(_ExactRecursiveSampler, "_TOL", tol)
     got = [None] * count
     for i, p in sampler.draw_block([_draw_seed(stream(SEED, trial)) for trial in range(count)]):
         got[i] = p
