@@ -198,6 +198,7 @@ def _observations(args) -> tuple[sampling.SamplerConfig, list]:
 
 
 def cmd_sample(args, out: _Output) -> int:
+    _at_least("--hist", args.hist, 0)
     cfg, observations = _observations(args)
     flags = {
         "n": args.n,
@@ -255,7 +256,7 @@ def cmd_limit(args, out: _Output) -> int:
 
 
 def cmd_verify(args, out: _Output) -> int:
-    from . import verify  # loads scipy, which no other subcommand needs
+    from . import verify  # loads subprocess, which no other subcommand needs
 
     return verify.verify_all(args.level, args.threads)
 

@@ -181,19 +181,20 @@ class _ExactRecursiveSampler:
     import, Linux x86-64).  It is not written to after construction.
 
     draw_block makes the draws of a block of seeds in lockstep, as the
-    module docstring describes.  Each lane leaves through _finish, which
-    seeds the lane's generator again, unless the lane is done, and skips the
-    words the lane has read: those drawn from the generator less the
-    buffered ones not yet read.  That costs a lane tens of microseconds
-    against a draw's milliseconds, and keeps one scalar driver.  A lane
-    holds a Mersenne Twister (2.6 KB), _WORDS = 256 buffered words (2 KB),
-    and its steps as int32 (d, j) pairs in an array that grows in place, 8
-    bytes a step (about 400 steps at n = 1e5).  For 160 lanes at n = 1e5 that is a traced peak of 1.5 MiB,
-    and perfbench's mc-exact-n1e5 reads a peak RSS 1.95 MiB above the
-    per-trial path's (40.29 -> 42.24 MiB).  On a 2-CPU host a block of 160
-    cost 0.63-0.91 ms per observation with its cell and hook, against
-    2.13-2.46 ms trial by trial at n = 1e5, and 1.80-1.91 against 6.24-6.89
-    ms at n = 1e6.
+    module docstring describes.  A lane's buffer starts spent, so the refill
+    draws its first words; a lane that leaves at once draws none.  Each lane
+    leaves through _finish, which seeds the lane's generator again, unless
+    the lane is done, and skips the words the lane has read: those drawn
+    from the generator less the buffered ones not yet read.  That costs a
+    lane tens of microseconds against a draw's milliseconds, and keeps the
+    scalar step in one place.  A lane holds a Mersenne Twister (2.6 KB),
+    256 buffered words (2 KB) and its steps as int32 (d, j) pairs in an
+    array that grows in place, 8 bytes a step (400 or so at n = 1e5).  For
+    160 lanes at n = 1e5 that is a traced peak of 1.5 MiB, and perfbench's
+    mc-exact-n1e5 reads a peak RSS 1.95 MiB above the per-trial path's
+    (40.29 -> 42.24 MiB).  On a 2-CPU host a block of 160 cost 0.63-0.91 ms
+    per observation with its cell and hook, against 2.13-2.46 ms trial by
+    trial at n = 1e5, and 1.80-1.91 against 6.24-6.89 ms at n = 1e6.
     """
 
     # up to this remainder rho_m comes from the exact table
@@ -330,16 +331,15 @@ class _ExactRecursiveSampler:
         # each lane's generator, as draw seeds it, and its buffered words
         gens = [random.Random(seed).getrandbits for seed in seeds]
         words = np.empty((len(gens), width), np.uint64)
-        for i, bits in enumerate(gens):
-            words[i] = _words(bits, width)
         flat = words.reshape(-1)
         # the lanes still in lockstep, and for each the start of its buffer
         # in flat, its next unread word, the words drawn from its generator
-        # (the buffer holds the last width of them) and its remainder
+        # (the buffer holds the last width of them) and its remainder; each
+        # buffer starts spent, so the refill below draws its first words
         lane = np.arange(len(gens))
         row = lane * width
-        at = np.zeros(len(gens), np.int64)
-        taken = np.full(len(gens), width, np.int64)
+        at = np.full(len(gens), width, np.int64)
+        taken = np.zeros(len(gens), np.int64)
         m = np.full(len(gens), n, np.int64)
         # pairs[s, :, k] is the (d, j) pair of step s of lane k; it grows
         # along its first axis, in place, so that no copy of it is made

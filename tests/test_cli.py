@@ -40,7 +40,12 @@ def test_bad_argument_value_exits_two():
     assert "usage error" in proc.stderr
     proc = run("pn", "--n", "-3")
     assert proc.returncode == 2
-    for args in (("exact", "--n", "5", "--m", "-1"), ("limit", "--grid", "-3"), ("shape", "--points", "0")):
+    for args in (
+        ("exact", "--n", "5", "--m", "-1"),
+        ("limit", "--grid", "-3"),
+        ("shape", "--points", "0"),
+        ("sample", "--n", "10", "--count", "5", "--hist", "-3"),
+    ):
         proc = run(*args)
         assert proc.returncode == 2, args
         assert "usage error" in proc.stderr, args
@@ -114,11 +119,15 @@ def test_asym_large_n_has_no_null():
 
 
 def test_import_loads_no_scipy():
-    # only `verify` needs scipy; it is imported inside that subcommand
-    code = "import sys, hooklaw.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # the package runs on numpy alone, `verify` included; `cli` imports
+    # `verify` only inside that subcommand
+    code = (
+        "import sys, hooklaw.cli; print('hooklaw.verify' in sys.modules); import hooklaw.verify; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split() == ["False", "[]"]
 
 
 def test_shape_csv():

@@ -48,6 +48,24 @@ def _uniform_chisq_pvalue(n, algorithm, count):
     return chi2.sf(stat, len(classes) - 1)
 
 
+def _binned_chisq_pvalue(freq, probs, count):
+    # the chi-square p-value of the observed value counts freq against the
+    # law whose probabilities of the values 0, 1, 2, ... probs lists: values
+    # pool into bins with expected count >= 10, and the partial bin left at
+    # the top of the range joins the last full one, so the tail is tested
+    got, expect = [0.0], [0.0]
+    for value, prob in enumerate(probs):
+        got[-1] += freq.get(value, 0)
+        expect[-1] += prob * count
+        if expect[-1] >= 10:
+            got.append(0.0)
+            expect.append(0.0)
+    got[-2] += got.pop()
+    expect[-2] += expect.pop()
+    stat = sum((g - e) ** 2 / e for g, e in zip(got, expect))
+    return chi2.sf(stat, len(got) - 1)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(n=0)
@@ -119,20 +137,32 @@ def test_exact_sampler_matches_hook_law(algorithm, n, count):
     obs = sample_hooks(cfg, count, threads=2)
     freq = Counter(o.hook for o in obs)
     dist = hook_distribution_via_part_counts(n)
-    total = dist.total
-    # pool hooks into bins with expected count >= 10; the partial bin left
-    # at the top of the range joins the last full one, so the tail is tested
-    got, expect = [0.0], [0.0]
-    for k in range(1, n + 1):
-        got[-1] += freq.get(k, 0)
-        expect[-1] += dist.weights.get(k, 0) / total * count
-        if expect[-1] >= 10:
-            got.append(0.0)
-            expect.append(0.0)
-    got[-2] += got.pop()
-    expect[-2] += expect.pop()
-    stat = sum((g - e) ** 2 / e for g, e in zip(got, expect))
-    assert chi2.sf(stat, len(got) - 1) > 0.001
+    probs = [dist.weights.get(h, 0) / dist.total for h in range(n + 1)]
+    assert _binned_chisq_pvalue(freq, probs, count) > 0.001
+
+
+@pytest.mark.parametrize(
+    "algorithm, n",
+    [(EXACT_RECURSIVE, 10000), (EXACT_RECURSIVE, 100000), (FRISTEDT_REJECTION, 10000)],
+    ids=["10000", "100000", "fristedt-rejection-10000"],
+)
+def test_part_multiplicities_match_exact_law(algorithm, n):
+    # the multiplicity m_k of the part k has P(m_k >= j) = p(n - jk) / p(n);
+    # the exact route draws through draw_block, as sample_hooks does
+    count = 2000
+    if algorithm == EXACT_RECURSIVE:
+        sampler = make_sampler(SamplerConfig(n, algorithm, SEED))
+        seeds = [_draw_seed(stream(SEED, trial)) for trial in range(count)]
+        draws = [p for _, p in sampler.draw_block(seeds)]
+    else:
+        draws = _draws(n, algorithm, count)
+    table = partition_counts(n)
+    for k in (1, 2):
+        # P(m_k >= j) at j = 0, 1, ..., n // k + 1, the last one 0
+        tail = [table[n - j * k] for j in range(n // k + 1)] + [0]
+        probs = [(a - b) / table[n] for a, b in zip(tail, tail[1:])]
+        freq = Counter(p.parts.count(k) for p in draws)
+        assert _binned_chisq_pvalue(freq, probs, count) > 0.001, k
 
 
 def test_two_algorithms_agree_at_n30():

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -47,6 +48,25 @@ def test_no_private_names_across_modules():
                 ]
     assert not found, f"private names used across modules: {found}"
 
+
+def test_imports_are_stdlib_or_numpy():
+    # the package runs on numpy alone: every import, inside functions too,
+    # names the standard library, numpy or a module of the package
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names | {"numpy"}
+            ]
+    assert not found, f"imports outside the standard library and numpy: {found}"
 
 
 def test_public_names_have_callers():
