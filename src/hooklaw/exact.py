@@ -9,7 +9,7 @@ cell in a uniform partition.
 from __future__ import annotations
 
 import functools
-from collections import Counter
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -17,9 +17,12 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ResourceError
-from .partitions import Partition, hook_lengths
+from .partitions import Partition
 
 ENUMERATION_CAP = 60
+
+# partitions of n per numpy block in the enumeration routines
+_WALK_BLOCK = 128
 
 # Growable table p(0..N), extended on demand and then only read.
 _PTABLE: list[int] = [1]
@@ -96,31 +99,69 @@ def iter_partitions(n: int) -> Iterator[Partition]:
     Partitions that agree on their first parts appear consecutively, so
     disjoint ranges of first parts give a splittable-work contract for
     parallel consumers.
+
+    The enumeration routines below read the same walk as plain tuples, in
+    blocks of _WALK_BLOCK partitions flattened into numpy arrays: a block
+    holds at most _WALK_BLOCK * n cells, so their memory does not grow
+    with p(n).
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
+    for parts in _walk(n):
+        yield Partition(parts)
+
+
+def _walk(n: int) -> Iterator[tuple[int, ...]]:
+    """The walk of iter_partitions, each partition as its tuple of parts.
+
+    Zoghbi and Stojmenovic's ZS1: the parts are x[:m], and x[h + 1:]
+    holds only ones, so a step writes only the parts that change.
+    """
     if n == 0:
-        yield Partition(())
+        yield ()
         return
-    a = [n]
-    while True:
-        yield Partition(tuple(a))
-        # decrement the rightmost part > 1, then redistribute the surplus
-        # greedily into parts of the new maximal size
-        k = len(a) - 1
-        while k >= 0 and a[k] == 1:
-            k -= 1
-        if k < 0:
-            return
-        v = a[k] - 1
-        surplus = len(a) - k  # trailing ones plus the unit just removed
-        del a[k:]
-        a.append(v)
-        while surplus > v:
-            a.append(v)
-            surplus -= v
-        if surplus:
-            a.append(surplus)
+    x = [1] * n
+    x[0] = n
+    m = 1  # number of parts
+    h = 0  # index of the last part > 1
+    yield (n,)
+    while x[0] != 1:
+        if x[h] == 2:
+            x[h] = 1
+            h -= 1
+            m += 1
+        else:
+            # decrement x[h], then redistribute the surplus greedily into
+            # parts of the new maximal size
+            r = x[h] - 1
+            surplus = m - h  # trailing ones plus the unit just removed
+            x[h] = r
+            while surplus >= r:
+                h += 1
+                x[h] = r
+                surplus -= r
+            if surplus == 0:
+                m = h + 1
+            else:
+                m = h + 2
+                if surplus > 1:
+                    h += 1
+                    x[h] = surplus
+        yield tuple(x[:m])
+
+
+def _walk_blocks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The walk of n in blocks of at most _WALK_BLOCK partitions, each
+    block as (the parts of its partitions, concatenated, and the number of
+    parts of each partition), both int32."""
+    walk = _walk(n)
+    while block := list(itertools.islice(walk, _WALK_BLOCK)):
+        lengths = np.fromiter(map(len, block), dtype=np.int32, count=len(block))
+        # a known count allocates once; a growing buffer fragments the heap
+        rows = np.fromiter(
+            itertools.chain.from_iterable(block), dtype=np.int32, count=int(lengths.sum())
+        )
+        yield rows, lengths
 
 
 def moment_Y(n: int, m: int) -> Fraction:
@@ -144,12 +185,12 @@ def _part_sizes(n: int) -> tuple[tuple[tuple[int, int], ...], int]:
     """One walk over the partitions of n for every power moment_Y reads:
     the pairs (s, number of parts of size s over all partitions), and the
     number of partitions."""
-    sizes: Counter[int] = Counter()
+    sizes = np.zeros(n + 1, dtype=np.int64)
     count = 0
-    for p in iter_partitions(n):
-        sizes.update(p.parts)
-        count += 1
-    return tuple(sizes.items()), count
+    for rows, lengths in _walk_blocks(n):
+        sizes += np.bincount(rows, minlength=n + 1)
+        count += len(lengths)
+    return tuple((s, int(c)) for s, c in enumerate(sizes) if c), count
 
 
 def moment_Z(n: int, m: int) -> Fraction:
@@ -195,12 +236,38 @@ def exact_hook_distribution(n: int) -> ExactHookDistribution:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > ENUMERATION_CAP:
         raise ResourceError(f"n={n} exceeds the enumeration cap {ENUMERATION_CAP}")
-    weights: Counter[int] = Counter()
-    for p in iter_partitions(n):
-        weights.update(hook_lengths(p))
-    dist = ExactHookDistribution(n, dict(weights))
+    counts = np.zeros(n + 1, dtype=np.int64)  # n p(n) < 6e7 up to the cap
+    for rows, lengths in _walk_blocks(n):
+        counts += np.bincount(_block_hooks(rows, lengths, n), minlength=n + 1)
+    # keys in descending h, the order in which the walk's first partition,
+    # the single row (n), meets them
+    weights = {h: int(counts[h]) for h in range(n, 0, -1) if counts[h]}
+    dist = ExactHookDistribution(n, weights)
     _check_mass(dist)
     return dist
+
+
+def _block_hooks(rows: np.ndarray, lengths: np.ndarray, n: int) -> np.ndarray:
+    """The hook length of every cell of a block of partitions of n, from
+    the block's parts and each partition's number of parts (_walk_blocks).
+
+    Cell (t, s) of a partition, both 0-based here, has hook
+    lambda_t - s + lambda'_s - t - 1; the column heights lambda' are one
+    bincount over (partition, column) keys.  Cells are numbered c across
+    the block, row by row, so s = c - c_t with c_t the first cell of row t.
+    """
+    i32 = np.int32
+    c_t = np.cumsum(rows, dtype=i32) - rows
+    first_row = np.cumsum(lengths, dtype=i32) - lengths
+    t = np.arange(len(rows), dtype=i32) - np.repeat(first_row, lengths)
+    column_0 = np.repeat(np.arange(0, len(lengths) * n, n, dtype=i32), lengths)  # per row
+    c = np.arange(rows.sum(), dtype=i32)
+    key = np.repeat(column_0 - c_t, rows)
+    key += c
+    hooks = np.repeat(rows - t - 1 + c_t, rows)
+    hooks -= c
+    hooks += np.bincount(key, minlength=len(lengths) * n)[key]
+    return hooks
 
 
 def hook_distribution_via_part_counts(n: int) -> ExactHookDistribution:

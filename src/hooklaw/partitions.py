@@ -98,15 +98,6 @@ def hook_length(p: Partition, c: Cell) -> int:
     return parts[t - 1] - s + conj_s - t + 1
 
 
-def hook_lengths(p: Partition) -> Iterator[int]:
-    """The hook lengths of all cells in cells() order, with the conjugate
-    computed once."""
-    conj = conjugate(p).parts
-    for t, row_len in enumerate(p.parts, start=1):
-        for s in range(1, row_len + 1):
-            yield row_len - s + conj[s - 1] - t + 1
-
-
 def profile(p: Partition, t: float) -> int:
     """Height of the diagram boundary at abscissa t: the number of parts >= t.
 

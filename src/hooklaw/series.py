@@ -27,17 +27,41 @@ class TruncatedSeries:
             raise ValueError("a truncated series needs at least the constant term")
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        """The product by Kronecker substitution: each operand is packed
+        into one integer, coefficient i at bit i * w, the two integers are
+        multiplied once, and the product's coefficients are read back from
+        its slots, negative ones too.
+
+        With A = max(1, |a_i|) and B = max(1, |b_j|), a product coefficient,
+        a sum of at most deg + 1 terms, and every operand coefficient are
+        below bound = (deg + 1) A B + 1; the slot width w is the bits of
+        bound plus a sign bit, rounded up to whole bytes (w = 8 width).
+        """
         deg = min(len(self.coeffs), len(other.coeffs)) - 1
-        a = self.coeffs
-        b = other.coeffs
-        out = [0] * (deg + 1)
-        for i in range(deg + 1):
-            ai = a[i]
-            if not ai:
-                continue
-            for j in range(deg + 1 - i):
-                out[i + j] += ai * b[j]
-        return TruncatedSeries(tuple(out))
+        a = self.coeffs[: deg + 1]
+        b = other.coeffs[: deg + 1]
+        bound = (deg + 1) * max(1, *map(abs, a)) * max(1, *map(abs, b)) + 1
+        width = bound.bit_length() // 8 + 1  # bytes per slot
+        half = 1 << (8 * width - 1)
+        # every slot of product + bias holds c_k + half, in [0, 2 half)
+        bias = int.from_bytes((bytes(width - 1) + b"\x80") * (deg + 1), "little")
+        product = _pack(a, width) * _pack(b, width) + bias
+        # the slots of x^0..x^deg: every higher term is a multiple of 2^(8 size)
+        size = width * (deg + 1)
+        raw = (product & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+        slots = range(0, size, width)
+        return TruncatedSeries(
+            tuple(int.from_bytes(raw[k : k + width], "little") - half for k in slots)
+        )
+
+
+def _pack(coeffs: tuple[int, ...], width: int) -> int:
+    """sum_i coeffs[i] 2^(8 width i), for slots of width bytes that hold
+    every |coeffs[i]|."""
+    zero = bytes(width)
+    pos = b"".join(c.to_bytes(width, "little") if c > 0 else zero for c in coeffs)
+    neg = b"".join((-c).to_bytes(width, "little") if c < 0 else zero for c in coeffs)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 @lru_cache(maxsize=8)

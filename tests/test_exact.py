@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,7 +16,7 @@ from hooklaw.exact import (
     partition_count,
     partition_counts,
 )
-from hooklaw.partitions import Partition, hook_lengths
+from hooklaw.partitions import Partition, cells, hook_length
 
 # frozen by hand enumeration / classical tables
 P_SMALL = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135]
@@ -106,18 +108,18 @@ def test_moment_Y_walks_once_for_every_power(monkeypatch):
     # one walk over the partitions of n serves every power, and gives what
     # a walk per power gives
     walks = []
-    walk = exact.iter_partitions
+    walk = exact._walk
 
     def counting(n):
         walks.append(n)
         return walk(n)
 
-    monkeypatch.setattr(exact, "iter_partitions", counting)
+    monkeypatch.setattr(exact, "_walk", counting)
     exact._part_sizes.cache_clear()
     for n in (1, 9, 16):
         count = partition_count(n)
         for m in range(6):
-            want = Fraction(sum(part**m for p in walk(n) for part in p.parts), count)
+            want = Fraction(sum(part**m for parts in walk(n) for part in parts), count)
             assert moment_Y(n, m) == want, (n, m)
     assert walks == [1, 9, 16]
 
@@ -178,18 +180,54 @@ def test_hook_distribution_mass_and_support():
 
 
 def test_hook_distribution_routes_agree():
-    # the size-biased-row identity against brute force
-    for n in range(1, 13):
+    # the size-biased-row identity against brute force, past the first
+    # block of the walk (p(15) = 176 > 128) and up to p(50) = 204226
+    for n in [*range(1, 31), 50]:
         assert (
             hook_distribution_via_part_counts(n).weights
             == exact_hook_distribution(n).weights
         )
 
 
+@pytest.mark.parametrize("block", [1, 7, exact._WALK_BLOCK])
+def test_blocked_walk_matches_per_cell_reference(monkeypatch, block):
+    # block edges fall inside the walk; the weights keep the per-cell
+    # route's key order, and the part sizes of moment_Y its counts
+    monkeypatch.setattr(exact, "_WALK_BLOCK", block)
+    exact._part_sizes.cache_clear()
+    for n in range(1, 21):
+        weights: Counter[int] = Counter()
+        sizes: Counter[int] = Counter()
+        for p in iter_partitions(n):
+            weights.update(hook_length(p, c) for c in cells(p))
+            sizes.update(p.parts)
+        got = exact_hook_distribution(n).weights
+        assert list(got.items()) == list(weights.items()), n
+        assert all(type(w) is int for w in got.values())
+        assert dict(exact._part_sizes(n)[0]) == sizes, n
+        for m in range(4):
+            want = Fraction(sum(c * s**m for s, c in sizes.items()), partition_count(n))
+            assert moment_Y(n, m) == want, (n, m)
+
+
+def test_hook_distribution_memory_is_bounded():
+    # the walk is read in blocks: at n = 45 the 4 million cells of all
+    # partitions would take 16 MiB as one int32 array; with blocks of 128
+    # partitions the call peaks below 1 MiB
+    partition_count(45)
+    tracemalloc.start()
+    try:
+        exact_hook_distribution(45)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+
+
 def tableaux_count(p):
     # the hook-length formula: n! over the product of the hook lengths; the
     # division must be exact, else the hook lengths are wrong
-    prod = math.prod(hook_lengths(p))
+    prod = math.prod(hook_length(p, c) for c in cells(p))
     count, rem = divmod(math.factorial(p.n), prod)
     assert rem == 0, p
     return count

@@ -13,6 +13,17 @@ from hooklaw.series import (
 )
 
 coeff_lists = st.lists(st.integers(-50, 50), min_size=1, max_size=9)
+big_coeff_lists = st.lists(st.integers(-(2**200), 2**200), min_size=1, max_size=40)
+
+
+def _schoolbook(a, b):
+    # the reference product, truncated to the weaker degree
+    deg = min(len(a), len(b)) - 1
+    out = [0] * (deg + 1)
+    for i in range(deg + 1):
+        for j in range(deg + 1 - i):
+            out[i + j] += a[i] * b[j]
+    return tuple(out)
 
 
 def _sigma(m, n):
@@ -65,6 +76,11 @@ def test_first_moment_identity():
         assert prod.coeffs[n] == n * partition_count(n)
 
 
+def test_first_moment_identity_degree_2000():
+    prod = euler_series(2000) * f_m_series(1, 2000)
+    assert prod.coeffs == tuple(n * partition_count(n) for n in range(2001))
+
+
 def test_oracle_equivalence_small():
     # series route equals enumeration route, exactly, for n <= 12 and m <= 4
     for n in range(1, 13):
@@ -96,3 +112,24 @@ def test_multiplication_associative_at_equal_truncation(xs, ys, zs):
     b = TruncatedSeries(tuple(ys[: deg + 1]))
     c = TruncatedSeries(tuple(zs[: deg + 1]))
     assert (a * b) * c == a * (b * c)
+
+
+@given(coeff_lists, coeff_lists)
+def test_multiplication_matches_schoolbook(xs, ys):
+    # unequal lengths, zeros, negative coefficients and degree 0
+    assert (TruncatedSeries(tuple(xs)) * TruncatedSeries(tuple(ys))).coeffs == _schoolbook(xs, ys)
+
+
+@given(big_coeff_lists, big_coeff_lists)
+def test_multiplication_matches_schoolbook_wide_slots(xs, ys):
+    assert (TruncatedSeries(tuple(xs)) * TruncatedSeries(tuple(ys))).coeffs == _schoolbook(xs, ys)
+
+
+def test_multiplication_matches_schoolbook_at_slot_edges():
+    # coefficients whose products fill a slot up to its sign bit, and zero
+    # operands against wide ones
+    for top in (1, 127, 128, 255, 256, 2**63 - 1, 2**63, 2**64):
+        for a in ((top,), (-top, top), (top, -top, 0, top), (0, 0, -top), (0,), (0, 0)):
+            for b in ((top,), (-top,) * 4, (top, top, top)):
+                want = _schoolbook(a, b)
+                assert (TruncatedSeries(a) * TruncatedSeries(b)).coeffs == want, (a, b)
