@@ -95,7 +95,7 @@ class _Output:
 
 
 def cmd_pn(args, out: _Output) -> int:
-    print(exact.partition_count(args.n))
+    out.write({"n": args.n}, [str(exact.partition_count(args.n))])
     return 0
 
 

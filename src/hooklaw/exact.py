@@ -100,10 +100,10 @@ def iter_partitions(n: int) -> Iterator[Partition]:
     disjoint ranges of first parts give a splittable-work contract for
     parallel consumers.
 
-    The enumeration routines below read the same walk as plain tuples, in
-    blocks of _WALK_BLOCK partitions flattened into numpy arrays: a block
-    holds at most _WALK_BLOCK * n cells, so their memory does not grow
-    with p(n).
+    The enumeration routines below read the same walk as plain tuples,
+    once per n through the cached _tally, in blocks of _WALK_BLOCK
+    partitions flattened into numpy arrays: a block holds at most
+    _WALK_BLOCK * n cells, so their memory does not grow with p(n).
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -164,33 +164,44 @@ def _walk_blocks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         yield rows, lengths
 
 
+def _tally(n: int) -> tuple[tuple, tuple, int]:
+    """The one walk of n that every enumeration routine reads: the pairs
+    (h, cells with hook length h) in descending h, the pairs (s, parts of
+    size s) in ascending s, and the number of partitions.  The checks run
+    before the cache lookup, so a cached walk never skips the cap."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if n > ENUMERATION_CAP:
+        raise ResourceError(f"n={n} exceeds the enumeration cap {ENUMERATION_CAP}")
+    return _walk_tally(n)
+
+
+@functools.lru_cache(maxsize=8)
+def _walk_tally(n: int) -> tuple[tuple, tuple, int]:
+    hooks = np.zeros(n + 1, dtype=np.int64)  # n p(n) < 6e7 up to the cap
+    sizes = np.zeros(n + 1, dtype=np.int64)
+    count = 0
+    for rows, lengths in _walk_blocks(n):
+        hooks += np.bincount(_block_hooks(rows, lengths, n), minlength=n + 1)
+        sizes += np.bincount(rows, minlength=n + 1)
+        count += len(lengths)
+    # hook keys in descending h, the order in which the walk's first
+    # partition, the single row (n), meets them
+    h, s = np.flatnonzero(hooks)[::-1], np.flatnonzero(sizes)
+    hook_pairs = tuple(zip(h.tolist(), hooks[h].tolist()))
+    return hook_pairs, tuple(zip(s.tolist(), sizes[s].tolist())), count
+
+
 def moment_Y(n: int, m: int) -> Fraction:
     """Expected m-th power sum of the parts of a uniform random partition.
 
     moment_Y(n, 1) == n identically; moment_Y(n, 0) is the expected number
     of parts.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
-    if n > ENUMERATION_CAP:
-        raise ResourceError(f"n={n} exceeds the enumeration cap {ENUMERATION_CAP}")
-    sizes, count = _part_sizes(n)
+    _, sizes, count = _tally(n)
     return Fraction(sum(c * s**m for s, c in sizes), count)
-
-
-@functools.lru_cache(maxsize=8)
-def _part_sizes(n: int) -> tuple[tuple[tuple[int, int], ...], int]:
-    """One walk over the partitions of n for every power moment_Y reads:
-    the pairs (s, number of parts of size s over all partitions), and the
-    number of partitions."""
-    sizes = np.zeros(n + 1, dtype=np.int64)
-    count = 0
-    for rows, lengths in _walk_blocks(n):
-        sizes += np.bincount(rows, minlength=n + 1)
-        count += len(lengths)
-    return tuple((s, int(c)) for s, c in enumerate(sizes) if c), count
 
 
 def moment_Z(n: int, m: int) -> Fraction:
@@ -199,8 +210,6 @@ def moment_Z(n: int, m: int) -> Fraction:
 
     Agrees exactly with moment_Y(n, m + 1) / n.
     """
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
     return exact_hook_distribution(n).moment(m)
 
 
@@ -220,6 +229,8 @@ class ExactHookDistribution:
         return self.n * partition_count(self.n)
 
     def moment(self, m: int) -> Fraction:
+        if m < 0:
+            raise ValueError(f"m must be nonnegative, got {m}")
         total = sum(h**m * w for h, w in self.weights.items())
         return Fraction(total, self.total)
 
@@ -232,17 +243,7 @@ def _check_mass(dist: ExactHookDistribution) -> None:
 
 def exact_hook_distribution(n: int) -> ExactHookDistribution:
     """Hook-length law by brute force over every (partition, cell) pair."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > ENUMERATION_CAP:
-        raise ResourceError(f"n={n} exceeds the enumeration cap {ENUMERATION_CAP}")
-    counts = np.zeros(n + 1, dtype=np.int64)  # n p(n) < 6e7 up to the cap
-    for rows, lengths in _walk_blocks(n):
-        counts += np.bincount(_block_hooks(rows, lengths, n), minlength=n + 1)
-    # keys in descending h, the order in which the walk's first partition,
-    # the single row (n), meets them
-    weights = {h: int(counts[h]) for h in range(n, 0, -1) if counts[h]}
-    dist = ExactHookDistribution(n, weights)
+    dist = ExactHookDistribution(n, dict(_tally(n)[0]))
     _check_mass(dist)
     return dist
 

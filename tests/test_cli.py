@@ -14,7 +14,13 @@ def run(*args, timeout=300):
 def test_pn():
     proc = run("pn", "--n", "100")
     assert proc.returncode == 0
-    assert proc.stdout.strip() == "190569292"
+    assert proc.stdout == "190569292\n"
+    # the bare count on stdout, the manifest and wall time on stderr
+    manifest_line, wall_line = proc.stderr.splitlines()
+    manifest = json.loads(manifest_line)
+    assert manifest["subcommand"] == "pn"
+    assert manifest["flags"] == {"n": "100"}
+    assert wall_line.startswith("wall_time_s: ")
 
 
 def test_help_exits_zero():

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from collections import Counter
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from hooklaw import exact
+from hooklaw import cli, exact
 from hooklaw.errors import ResourceError
 from hooklaw.exact import (
     exact_hook_distribution,
@@ -95,7 +96,11 @@ def test_enumerate_examples():
 
 
 def test_enumeration_cap(monkeypatch):
-    # every routine that walks all partitions of n refuses n past the cap
+    # every routine that walks all partitions of n refuses n past the cap,
+    # also when the walk of n is already cached
+    exact._walk_tally.cache_clear()
+    for n in (10, 11):
+        exact_hook_distribution(n)
     monkeypatch.setattr(exact, "ENUMERATION_CAP", 10)
     assert sum(exact_hook_distribution(10).weights.values()) == 10 * partition_count(10)
     assert moment_Z(10, 1) == moment_Y(10, 2) / 10
@@ -104,9 +109,10 @@ def test_enumeration_cap(monkeypatch):
             walk(11)
 
 
-def test_moment_Y_walks_once_for_every_power(monkeypatch):
-    # one walk over the partitions of n serves every power, and gives what
-    # a walk per power gives
+def test_moment_Y_walks_once_for_every_power(monkeypatch, capsys):
+    # one walk over the partitions of n serves the hook law, every hook
+    # moment and every power sum, and gives what a walk per power gives;
+    # `hooklaw exact` walks once too
     walks = []
     walk = exact._walk
 
@@ -115,13 +121,19 @@ def test_moment_Y_walks_once_for_every_power(monkeypatch):
         return walk(n)
 
     monkeypatch.setattr(exact, "_walk", counting)
-    exact._part_sizes.cache_clear()
+    exact._walk_tally.cache_clear()
     for n in (1, 9, 16):
         count = partition_count(n)
+        exact_hook_distribution(n)
+        for m in range(5):
+            assert n * moment_Z(n, m) == moment_Y(n, m + 1), (n, m)
         for m in range(6):
             want = Fraction(sum(part**m for parts in walk(n) for part in parts), count)
             assert moment_Y(n, m) == want, (n, m)
     assert walks == [1, 9, 16]
+    assert cli.dispatch(["exact", "--n", "12", "--m", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == "12"
+    assert walks == [1, 9, 16, 12]
 
 
 def test_moment_Y_values():
@@ -140,6 +152,10 @@ def test_moment_Z_values():
         assert moment_Z(n, 0) == 1
     with pytest.raises(ValueError):
         moment_Z(0, 1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        exact_hook_distribution(5).moment(-1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        moment_Z(5, -1)
 
 
 def test_hook_moment_equals_shifted_power_sum_exhaustive():
@@ -194,7 +210,7 @@ def test_blocked_walk_matches_per_cell_reference(monkeypatch, block):
     # block edges fall inside the walk; the weights keep the per-cell
     # route's key order, and the part sizes of moment_Y its counts
     monkeypatch.setattr(exact, "_WALK_BLOCK", block)
-    exact._part_sizes.cache_clear()
+    exact._walk_tally.cache_clear()
     for n in range(1, 21):
         weights: Counter[int] = Counter()
         sizes: Counter[int] = Counter()
@@ -204,7 +220,7 @@ def test_blocked_walk_matches_per_cell_reference(monkeypatch, block):
         got = exact_hook_distribution(n).weights
         assert list(got.items()) == list(weights.items()), n
         assert all(type(w) is int for w in got.values())
-        assert dict(exact._part_sizes(n)[0]) == sizes, n
+        assert list(exact._tally(n)[1]) == sorted(sizes.items()), n
         for m in range(4):
             want = Fraction(sum(c * s**m for s, c in sizes.items()), partition_count(n))
             assert moment_Y(n, m) == want, (n, m)
@@ -215,6 +231,7 @@ def test_hook_distribution_memory_is_bounded():
     # partitions would take 16 MiB as one int32 array; with blocks of 128
     # partitions the call peaks below 1 MiB
     partition_count(45)
+    exact._walk_tally.cache_clear()
     tracemalloc.start()
     try:
         exact_hook_distribution(45)
