@@ -124,6 +124,7 @@ GF_ENUM_CAP = 22  # enumeration oracle column only up to here
 
 def cmd_gf_check(args, out: _Output) -> int:
     deg = args.n
+    _at_least("--n", deg, 1)
     product = series.euler_series(deg) * series.f_m_series(args.m, deg)
     lines = ["n,p_n,coefficient,check"]
     mismatch = False

@@ -22,7 +22,7 @@ from .partitions import Partition
 ENUMERATION_CAP = 60
 
 # partitions of n per numpy block in the enumeration routines
-_WALK_BLOCK = 128
+_WALK_BLOCK = 512
 
 # Growable table p(0..N), extended on demand and then only read.
 _PTABLE: list[int] = [1]
@@ -100,31 +100,32 @@ def iter_partitions(n: int) -> Iterator[Partition]:
     disjoint ranges of first parts give a splittable-work contract for
     parallel consumers.
 
-    The enumeration routines below read the same walk as plain tuples,
-    once per n through the cached _tally, in blocks of _WALK_BLOCK
-    partitions flattened into numpy arrays: a block holds at most
-    _WALK_BLOCK * n cells, so their memory does not grow with p(n).
+    The enumeration routines below read the same walk, once per n through
+    the cached _tally, in blocks of _WALK_BLOCK partitions, so their
+    memory does not grow with p(n).
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     for parts in _walk(n):
-        yield Partition(parts)
+        yield Partition(tuple(parts))
 
 
-def _walk(n: int) -> Iterator[tuple[int, ...]]:
-    """The walk of iter_partitions, each partition as its tuple of parts.
+def _walk(n: int) -> Iterator[bytearray | list[int]]:
+    """The walk of iter_partitions, each partition as a fresh sequence of
+    its parts: a bytearray while every part fits in a byte (n < 256), so
+    that a block of the walk joins into one byte string, else a list.
 
     Zoghbi and Stojmenovic's ZS1: the parts are x[:m], and x[h + 1:]
     holds only ones, so a step writes only the parts that change.
     """
+    x = bytearray([1]) * n if n < 256 else [1] * n
     if n == 0:
-        yield ()
+        yield x[:0]
         return
-    x = [1] * n
     x[0] = n
     m = 1  # number of parts
     h = 0  # index of the last part > 1
-    yield (n,)
+    yield x[:m]
     while x[0] != 1:
         if x[h] == 2:
             x[h] = 1
@@ -147,21 +148,7 @@ def _walk(n: int) -> Iterator[tuple[int, ...]]:
                 if surplus > 1:
                     h += 1
                     x[h] = surplus
-        yield tuple(x[:m])
-
-
-def _walk_blocks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The walk of n in blocks of at most _WALK_BLOCK partitions, each
-    block as (the parts of its partitions, concatenated, and the number of
-    parts of each partition), both int32."""
-    walk = _walk(n)
-    while block := list(itertools.islice(walk, _WALK_BLOCK)):
-        lengths = np.fromiter(map(len, block), dtype=np.int32, count=len(block))
-        # a known count allocates once; a growing buffer fragments the heap
-        rows = np.fromiter(
-            itertools.chain.from_iterable(block), dtype=np.int32, count=int(lengths.sum())
-        )
-        yield rows, lengths
+        yield x[:m]
 
 
 def _tally(n: int) -> tuple[tuple, tuple, int]:
@@ -178,18 +165,42 @@ def _tally(n: int) -> tuple[tuple, tuple, int]:
 
 @functools.lru_cache(maxsize=8)
 def _walk_tally(n: int) -> tuple[tuple, tuple, int]:
-    hooks = np.zeros(n + 1, dtype=np.int64)  # n p(n) < 6e7 up to the cap
+    """Hooks from boundary words.  Read the boundary of a partition with l
+    parts as a word of lambda_1 + l steps: row t (0-based) steps up at
+    position lambda_t + l - 1 - t, and every other position is a step
+    right.  The cells are exactly the pairs (right step i, up step j > i),
+    and the cell's hook length is j - i.  So with 0/1 matrices A (right
+    steps) and B (up steps), one row per partition of a block, the cell
+    counts M = sum over blocks of A^T B give the hook counts as the
+    diagonals trace(M, offset=h).  A block product counts at most
+    _WALK_BLOCK partitions, exact in float32; M sums to at most
+    n p(n) < 2^53, exact in float64.
+    """
+    width = n + 1  # lambda_1 + l <= n + 1 positions
+    cell_counts = np.zeros((width, width))
     sizes = np.zeros(n + 1, dtype=np.int64)
     count = 0
-    for rows, lengths in _walk_blocks(n):
-        hooks += np.bincount(_block_hooks(rows, lengths, n), minlength=n + 1)
+    position = np.arange(width)
+    walk = _walk(n)
+    while block := list(itertools.islice(walk, _WALK_BLOCK)):
+        rows = np.frombuffer(b"".join(block), dtype=np.uint8)  # parts <= cap < 256
+        lengths = np.fromiter(map(len, block), dtype=np.intp, count=len(block))
+        first = np.cumsum(lengths) - lengths  # each partition's first part in rows
+        # part k of the block is row t = k - first[b] of partition b, whose
+        # up step sits at flat index b width + lambda_t + l - 1 - t
+        up = np.zeros((len(block), width), dtype=np.float32)
+        base = np.arange(0, len(block) * width, width) + lengths - 1 + first
+        up.flat[np.repeat(base, lengths) - np.arange(len(rows)) + rows] = 1
+        right = (position < (rows[first] + lengths)[:, None]).astype(np.float32)
+        right -= up
+        cell_counts += right.T @ up
         sizes += np.bincount(rows, minlength=n + 1)
-        count += len(lengths)
+        count += len(block)
     # hook keys in descending h, the order in which the walk's first
     # partition, the single row (n), meets them
-    h, s = np.flatnonzero(hooks)[::-1], np.flatnonzero(sizes)
-    hook_pairs = tuple(zip(h.tolist(), hooks[h].tolist()))
-    return hook_pairs, tuple(zip(s.tolist(), sizes[s].tolist())), count
+    hooks = ((h, int(np.trace(cell_counts, offset=h))) for h in range(n, 0, -1))
+    s = np.flatnonzero(sizes)
+    return tuple((h, c) for h, c in hooks if c), tuple(zip(s.tolist(), sizes[s].tolist())), count
 
 
 def moment_Y(n: int, m: int) -> Fraction:
@@ -248,48 +259,18 @@ def exact_hook_distribution(n: int) -> ExactHookDistribution:
     return dist
 
 
-def _block_hooks(rows: np.ndarray, lengths: np.ndarray, n: int) -> np.ndarray:
-    """The hook length of every cell of a block of partitions of n, from
-    the block's parts and each partition's number of parts (_walk_blocks).
-
-    Cell (t, s) of a partition, both 0-based here, has hook
-    lambda_t - s + lambda'_s - t - 1; the column heights lambda' are one
-    bincount over (partition, column) keys.  Cells are numbered c across
-    the block, row by row, so s = c - c_t with c_t the first cell of row t.
-    """
-    i32 = np.int32
-    c_t = np.cumsum(rows, dtype=i32) - rows
-    first_row = np.cumsum(lengths, dtype=i32) - lengths
-    t = np.arange(len(rows), dtype=i32) - np.repeat(first_row, lengths)
-    column_0 = np.repeat(np.arange(0, len(lengths) * n, n, dtype=i32), lengths)  # per row
-    c = np.arange(rows.sum(), dtype=i32)
-    key = np.repeat(column_0 - c_t, rows)
-    key += c
-    hooks = np.repeat(rows - t - 1 + c_t, rows)
-    hooks -= c
-    hooks += np.bincount(key, minlength=len(lengths) * n)[key]
-    return hooks
-
-
 def hook_distribution_via_part_counts(n: int) -> ExactHookDistribution:
     """Hook-length law from the counting table alone, without enumeration.
 
     The hook length of a uniform cell has the same law as the length of the
     row containing a uniform cell, i.e. a size-biased part:
-    weight(k) = k * sum_{j >= 1} p(n - j*k).  This needs only p(0..n), so it
-    scales to n far beyond enumeration reach.
+    weight(k) = k * sum_{j >= 1} p(n - j*k), one reversed slice sum of the
+    table p[n - k :: -k] per k.  This needs only p(0..n), so it scales to n
+    far beyond enumeration reach.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     p = partition_counts(n)
-    weights: dict[int, int] = {}
-    for k in range(1, n + 1):
-        acc = 0
-        jk = k
-        while jk <= n:
-            acc += p[n - jk]
-            jk += k
-        weights[k] = k * acc
-    dist = ExactHookDistribution(n, weights)
+    dist = ExactHookDistribution(n, {k: k * sum(p[n - k :: -k]) for k in range(1, n + 1)})
     _check_mass(dist)
     return dist

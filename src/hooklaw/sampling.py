@@ -60,10 +60,8 @@ observe_hook, trial by trial.
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import math
-import multiprocessing
 import os
 import random
 from bisect import bisect_right
@@ -590,6 +588,11 @@ def sample_hooks(cfg: SamplerConfig, count: int, threads: int | None = 1) -> lis
     _sampler_for(cfg.n, cfg.algorithm)
     if threads == 1:
         return _observe_trials(cfg, range(count))
+    # imported here, not at module level: only a pool uses them, and every
+    # command would pay their import
+    import concurrent.futures
+    import multiprocessing
+
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:  # platforms without fork rebuild tables per worker

@@ -8,6 +8,7 @@ times the expected m-th power sum of a uniform random partition of n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -64,32 +65,51 @@ def _pack(coeffs: tuple[int, ...], width: int) -> int:
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
+def _euler_slot_bytes(degree: int) -> int:
+    """Bytes per slot of euler_series: the bits of the a-priori bound
+    p(n) < exp(pi sqrt(2n/3)) (Apostol, Introduction to Analytic Number
+    Theory, ch. 14) at n = degree, rounded up to whole bytes."""
+    return int(math.pi * math.sqrt(2 * degree / 3) / math.log(2)) // 8 + 1
+
+
 @lru_cache(maxsize=8)
 def euler_series(degree: int) -> TruncatedSeries:
     """The partition generating function: product over j of (1 - x^j)^(-1).
 
-    Built by successive multiplication with each geometric factor, which is
-    the in-place sparse update c[i] += c[i - j].  The coefficient of x^n is
-    p(n).
+    The coefficients are packed into one integer, x^i in slot i of w =
+    8 _euler_slot_bytes(degree) bits.  Each factor 1 / (1 - x^j) is applied
+    as (1 + x^j)(1 + x^2j)(1 + x^4j)... up to x^degree, by doubling: one
+    shift-add c += c << (w j 2^k) per binomial, of only the slots that land
+    at or below x^degree.  Every partial product has nonnegative
+    coefficients, at most p(i) <= p(degree) at x^i, so each fits its slot
+    and none carries into the next.  The coefficient of x^n is p(n).
     """
     if degree < 0:
         raise ValueError(f"degree must be nonnegative, got {degree}")
-    c = [0] * (degree + 1)
-    c[0] = 1
+    width = _euler_slot_bytes(degree)
+    w = 8 * width
+    c = 1
     for j in range(1, degree + 1):
-        for i in range(j, degree + 1):
-            c[i] += c[i - j]
-    return TruncatedSeries(tuple(c))
+        s = j
+        while s <= degree:
+            c += (c & ((1 << w * (degree + 1 - s)) - 1)) << w * s
+            s <<= 1
+    size = width * (degree + 1)
+    raw = c.to_bytes(size, "little")
+    return TruncatedSeries(
+        tuple(int.from_bytes(raw[k : k + width], "little") for k in range(0, size, width))
+    )
 
 
 @lru_cache(maxsize=32)
 def f_m_series(m: int, degree: int) -> TruncatedSeries:
     """The series sum_j j^m x^j / (1 - x^j); coefficient of x^n is the
-    divisor power sum sigma_m(n) = sum of d^m over divisors d of n."""
+    divisor power sum sigma_m(n) = sum of d^m over divisors d of n, and
+    the constant term is 0."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
+    if degree < 0:
+        raise ValueError(f"degree must be nonnegative, got {degree}")
     c = [0] * (degree + 1)
     for j in range(1, degree + 1):
         jm = j**m

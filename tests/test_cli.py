@@ -51,10 +51,15 @@ def test_bad_argument_value_exits_two():
         ("limit", "--grid", "-3"),
         ("shape", "--points", "0"),
         ("sample", "--n", "10", "--count", "5", "--hist", "-3"),
+        ("gf-check", "--n", "0"),
+        ("gf-check", "--n", "-3"),
     ):
         proc = run(*args)
         assert proc.returncode == 2, args
         assert "usage error" in proc.stderr, args
+    # the last case's message names the flag, and nothing reaches stdout
+    assert "--n must be >= 1, got -3" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_exact_json_payload():
@@ -134,6 +139,18 @@ def test_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "[]"]
+
+
+def test_import_loads_no_process_pool():
+    # only `sample_hooks` with more than one worker starts a pool, so no
+    # command pays the import of its modules up front
+    code = (
+        "import sys, hooklaw.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]
 
 
 def test_shape_csv():

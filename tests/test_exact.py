@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -109,6 +110,17 @@ def test_enumeration_cap(monkeypatch):
             walk(11)
 
 
+def test_walk_past_a_byte():
+    # parts above 255 do not fit the bytearray of the enumeration's walk:
+    # from n = 256 on the walk keeps its parts in a list
+    for n in (255, 256, 300):
+        walk = list(itertools.islice(iter_partitions(n), 2000))
+        assert walk[0].parts == (n,) and walk[1].parts == (n - 1, 1)
+        assert all(p.n == n for p in walk)
+        assert [p.parts for p in walk] == sorted((p.parts for p in walk), reverse=True)
+        assert len({p.parts for p in walk}) == len(walk)
+
+
 def test_moment_Y_walks_once_for_every_power(monkeypatch, capsys):
     # one walk over the partitions of n serves the hook law, every hook
     # moment and every power sum, and gives what a walk per power gives;
@@ -197,15 +209,16 @@ def test_hook_distribution_mass_and_support():
 
 def test_hook_distribution_routes_agree():
     # the size-biased-row identity against brute force, past the first
-    # block of the walk (p(15) = 176 > 128) and up to p(50) = 204226
-    for n in [*range(1, 31), 50]:
+    # block of the walk (p(19) = 490 < 512 < p(20) = 627), up to p(50) =
+    # 204226 and at the cap, p(60) = 966467
+    for n in [*range(1, 31), 50, exact.ENUMERATION_CAP]:
         assert (
             hook_distribution_via_part_counts(n).weights
             == exact_hook_distribution(n).weights
         )
 
 
-@pytest.mark.parametrize("block", [1, 7, exact._WALK_BLOCK])
+@pytest.mark.parametrize("block", [1, 7, 128, exact._WALK_BLOCK])
 def test_blocked_walk_matches_per_cell_reference(monkeypatch, block):
     # block edges fall inside the walk; the weights keep the per-cell
     # route's key order, and the part sizes of moment_Y its counts
@@ -228,8 +241,9 @@ def test_blocked_walk_matches_per_cell_reference(monkeypatch, block):
 
 def test_hook_distribution_memory_is_bounded():
     # the walk is read in blocks: at n = 45 the 4 million cells of all
-    # partitions would take 16 MiB as one int32 array; with blocks of 128
-    # partitions the call peaks below 1 MiB
+    # partitions would take 16 MiB as one int32 array; with blocks of 512
+    # partitions, two 512 x 46 float32 step matrices each, the call peaks
+    # below 1 MiB
     partition_count(45)
     exact._walk_tally.cache_clear()
     tracemalloc.start()

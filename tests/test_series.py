@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hooklaw.exact import moment_Y, partition_count
+from hooklaw import series
+from hooklaw.exact import moment_Y, partition_count, partition_counts
 from hooklaw.series import (
     TruncatedSeries,
     euler_series,
@@ -26,6 +27,16 @@ def _schoolbook(a, b):
     return tuple(out)
 
 
+def _euler_double_loop(degree):
+    # the reference Euler product: c[i] += c[i - j] for each factor
+    # 1 / (1 - x^j), in place
+    c = [1] + [0] * degree
+    for j in range(1, degree + 1):
+        for i in range(j, degree + 1):
+            c[i] += c[i - j]
+    return tuple(c)
+
+
 def _sigma(m, n):
     return sum(d**m for d in range(1, n + 1) if n % d == 0)
 
@@ -34,6 +45,20 @@ def test_euler_series_small():
     assert euler_series(5).coeffs == (1, 1, 2, 3, 5, 7)
     assert euler_series(0).coeffs == (1,)
     assert euler_series(10).coeffs[10] == 42
+
+
+def test_euler_series_matches_double_loop():
+    # every degree up to 300, so every slot width from one byte to nine,
+    # and the benchmark's degree
+    for degree in [*range(301), 2000]:
+        assert euler_series(degree).coeffs == _euler_double_loop(degree), degree
+
+
+def test_euler_slot_width_holds_p_of_degree():
+    # the a-priori bound p(n) < exp(pi sqrt(2n/3)) sizes the slots: every
+    # coefficient p(i) <= p(degree) fits, for every degree up to 10^4
+    for degree, count in enumerate(partition_counts(10**4)):
+        assert count < 1 << 8 * series._euler_slot_bytes(degree), degree
 
 
 def test_euler_series_matches_recurrence():
@@ -46,6 +71,7 @@ def test_f_m_series_values():
     f1 = f_m_series(1, 6)
     assert f1.coeffs[1:] == (1, 3, 4, 7, 6, 12)
     assert f_m_series(2, 4).coeffs[4] == 21
+    assert f_m_series(3, 0).coeffs == (0,)
     for m in (1, 2, 5):
         assert f_m_series(m, 3).coeffs[1] == 1
 
@@ -63,6 +89,7 @@ def test_f_m_rejects_m0():
 
 
 def test_moment_coefficient_values():
+    assert moment_coefficient(1, 0) == moment_coefficient(4, 0) == 0  # f_m has no x^0 term
     assert moment_coefficient(1, 5) == 35  # n p(n)
     assert moment_coefficient(2, 3) == 17
     assert moment_coefficient(3, 4) == 122
