@@ -128,8 +128,9 @@ def cmd_gf_check(args, out: _Output) -> int:
     product = series.euler_series(deg) * series.f_m_series(args.m, deg)
     lines = ["n,p_n,coefficient,check"]
     mismatch = False
+    counts = exact.partition_counts(deg)
     for n in range(1, deg + 1):
-        pn = exact.partition_count(n)
+        pn = counts[n]
         coeff = product.coeffs[n]
         checks = []
         if args.m == 1:

@@ -37,7 +37,10 @@ def _extend_ptable(limit: int) -> None:
 
     Rows are computed in blocks: an offset at least as long as the block
     reads only finished rows, so it adds as one slice of a numpy object
-    array; the few shorter offsets run row by row.
+    array that holds the whole table; the few shorter offsets run row by
+    row.  An extension shorter than one block runs every offset row by
+    row, since copying the table into that array would cost O(limit) per
+    call, and O(n^2) for the calls p(1), p(2), ..., p(n).
     """
     p = _PTABLE
     start = len(p)
@@ -47,8 +50,10 @@ def _extend_ptable(limit: int) -> None:
         sign = 1 if k % 2 else -1
         offsets += [(k * (3 * k - 1) // 2, sign), (k * (3 * k + 1) // 2, sign)]
         k += 1
-    table = np.empty(limit + 1, dtype=object)
-    table[:start] = p
+    blocked = limit + 1 - start >= _PTABLE_BLOCK
+    if blocked:
+        table = np.empty(limit + 1, dtype=object)
+        table[:start] = p
     for lo in range(start, limit + 1, _PTABLE_BLOCK):
         hi = min(lo + _PTABLE_BLOCK, limit + 1)
         acc = np.zeros(hi - lo, dtype=object)
@@ -56,7 +61,7 @@ def _extend_ptable(limit: int) -> None:
         for g, sign in offsets:
             if g >= hi:
                 break
-            if g < hi - lo:
+            if g < hi - lo or not blocked:
                 short.append((g, sign))
                 continue
             a = max(lo, g)  # rows below g have no term at offset g
@@ -73,7 +78,8 @@ def _extend_ptable(limit: int) -> None:
                 else:
                     total -= p[m - g]
             p.append(total)
-        table[lo:hi] = p[lo:hi]
+        if blocked:
+            table[lo:hi] = p[lo:hi]
 
 
 def partition_count(n: int) -> int:

@@ -39,22 +39,26 @@ so worker processes reproduce the serial observation sequence exactly no
 matter how trials are split.
 
 On the exact route, sample_hooks draws its trials in blocks of at most
-_BLOCK = 256, in lockstep (_ExactRecursiveSampler.draw_block), and each
+_BLOCK = 1024, in lockstep (_ExactRecursiveSampler.draw_block), and each
 worker takes one contiguous range of trials.  A trial is a lane: its
 Mersenne Twister is seeded as draw seeds it, and its 64-bit words are read
-ahead in chunks of getrandbits(64 * k), which holds the words that k calls
+ahead in refills of getrandbits(64 * k), which holds the words that k calls
 of getrandbits(64) return, in order (getrandbits(128) is two of them, low
-word first).  One numpy iteration makes one proposal (j, G1, G2,
-acceptance) for every unfinished lane and decides each comparison in
-floats by draw's rule.  That rule answers only where the exact route gives
-the same answer from the same bits, so the last-bit differences between
-numpy's and math's log or expm1 cannot change a decision.  A lane leaves
-the lockstep one way, through draw's own loop (_finish): when it is done,
-when its floats leave a proposal undecided, or when few lanes remain.
-_finish seeds the lane's generator again and skips the words the lane has
-read, so it takes the lane up at its next unread word (a lane that is done
-reads no word).  Every lane thus reads the words draw reads and decides as
-draw decides, and the observations are byte for byte those of
+word first); k grows with n, to about what a draw reads, up to 256.  One
+numpy iteration makes one proposal (j, G1, G2, acceptance) for every
+unfinished lane and decides each comparison in floats by draw's rule, in
+float forms of its own whose error stays far below the rule's tolerance.
+That rule answers only where the exact route gives the same answer from
+the same bits, so neither those forms nor the last-bit differences between
+numpy's and math's log or expm1 can change a decision.  A lane leaves the
+lockstep one way, through draw's own loop (_finish): when it is done, when
+its floats leave a proposal undecided (as a zero word does), or when few
+lanes remain.  _finish seeds the lane's generator again and skips the
+words the lane has read, so it takes the lane up at its next unread word
+(a lane that is done reads no word).  Every lane thus reads the words draw
+reads and decides as draw decides.  A lane's result is its pairs (d, j),
+and sample_hooks reads each hook from them (_pairs_hooks) without building
+the partition, so the observations are byte for byte those of
 observe_hook, trial by trial.
 """
 
@@ -89,7 +93,12 @@ EXACT_DEFAULT_LIMIT = 100_000
 FRISTEDT_TRIAL_BUDGET = 10_000_000
 
 # the most trials sample_hooks draws in lockstep on the exact route
-_BLOCK = 256
+_BLOCK = 1024
+
+# sample_hooks reads the hooks of finished lanes once they hold this many
+# pairs, so that its numpy calls serve many lanes at small n, and its
+# arrays stay small at large n
+_HOOK_PAIRS = 2048
 
 
 def default_algorithm(n: int) -> str:
@@ -179,20 +188,43 @@ class _ExactRecursiveSampler:
     import, Linux x86-64).  It is not written to after construction.
 
     draw_block makes the draws of a block of seeds in lockstep, as the
-    module docstring describes.  A lane's buffer starts spent, so the refill
-    draws its first words; a lane that leaves at once draws none.  Each lane
-    leaves through _finish, which seeds the lane's generator again, unless
-    the lane is done, and skips the words the lane has read: those drawn
-    from the generator less the buffered ones not yet read.  That costs a
-    lane tens of microseconds against a draw's milliseconds, and keeps the
-    scalar step in one place.  A lane holds a Mersenne Twister (2.6 KB),
-    256 buffered words (2 KB) and its steps as int32 (d, j) pairs in an
-    array that grows in place, 8 bytes a step (400 or so at n = 1e5).  For
-    160 lanes at n = 1e5 that is a traced peak of 1.5 MiB, and perfbench's
-    mc-exact-n1e5 reads a peak RSS 1.95 MiB above the per-trial path's
-    (40.29 -> 42.24 MiB).  On a 2-CPU host a block of 160 cost 0.63-0.91 ms
-    per observation with its cell and hook, against 2.13-2.46 ms trial by
-    trial at n = 1e5, and 1.80-1.91 against 6.24-6.89 ms at n = 1e6.
+    module docstring describes.  Each lane leaves through _finish, which
+    seeds the lane's generator again, unless the lane is done, and skips
+    the words the lane has read: those drawn from its generator, less the
+    buffered ones not yet read, less those of a proposal left undecided.
+    That costs a lane tens of microseconds against a draw's milliseconds,
+    and keeps the scalar step in one place.
+
+    The lockstep keeps for each lane its read position in one flat buffer
+    of words, its remainder, and the slot of its next step in two int32
+    pairs arrays that hold one row per step.  An iteration writes every
+    lane's (d, j) into its slot and moves the slot on for the lanes that
+    took a step.  Every _CHECK iterations the lanes with fewer than
+    5 _CHECK words left refill together, and the pairs arrays get room for
+    _CHECK more steps: they double their rows and keep only the columns of
+    the lanes still in lockstep, and rows not yet reached are not written.
+    A lane holds a Mersenne Twister (2.6 KB), 39 + width buffered words
+    with width = min(256, 40 + 8 isqrt(n)), and 8 bytes a step: about 400
+    steps at n = 1e5, 450 for the longest lane of a block of 1,024.
+
+    The lockstep's float forms differ from draw's.  With b = a lr for each
+    geometric, its bound (a + 1) lr is b + lr; b lies in [log U, log U -
+    lr), so |b| < 45.  The acceptance log is lps[m - q] - lps[m] - (b1 +
+    b2) + log(j (j + 1) (lrho / expm1(lr))^2), against thresholds moved by
+    log(2 (1 + 2^-40)).  There b1 + b2 is within 3e-14 of (q - j) lrho,
+    and the one log's argument has a relative error of a few units in the
+    last place (lr / expm1(lr) is no more sensitive to lr than lr itself),
+    so the log is off by under 1e-14.  Each form adds about 1e-14, and the
+    whole float error stays below 1e-10 up to n = 1e8.
+
+    On a 2-CPU host (Linux x86-64, Python 3.11.7, numpy 2.4.6, a fresh
+    process per run, three runs), an observation with its cell and hook
+    cost 0.39-0.42 ms over 160 trials at n = 1e5 and 0.23-0.25 ms over
+    4,096, against 1.7-1.9 ms trial by trial; 0.65-0.72 ms over 1,024
+    trials at n = 1e6, against 5.4-6.0 ms; and 39-40 us over 10,000 trials
+    at n = 3, against 48-57 us.  A block of 1,024 lanes at n = 1e5 holds
+    about 9 MiB: 2.6 MiB of generators, 2.4 MiB of words and up to 4 MiB
+    of pairs.
     """
 
     # up to this remainder rho_m comes from the exact table
@@ -203,10 +235,13 @@ class _ExactRecursiveSampler:
     _TOL = 1e-9
     # j = _BIG // (V + 1) for a uniform V below _BIG
     _BIG = 1 << 128
-    # 64-bit words buffered per lane of draw_block
+    # 64-bit words a lane of draw_block draws at a time, at most
     _WORDS = 256
     # draw_block finishes its last lanes one at a time from this many on
     _FEW = 16
+    # draw_block makes room for pairs and refills words every this many
+    # proposals
+    _CHECK = 8
 
     def __init__(self, n: int, ptable: list[int] | None = None):
         self.n = n
@@ -227,23 +262,26 @@ class _ExactRecursiveSampler:
         slope = np.where(q <= m, (lp[np.maximum(m - q, 0)] - lp[m]) / q, -np.inf)
         rho[2 : k + 1] = np.exp(slope.max(axis=1)) * (1 + 2.0**-40)
         self._rho = rho
+        # the words a lane of draw_block draws at a time: a draw reads about
+        # 8 sqrt(n) + 20 words, from 28 on average at n = 3 to 2,500 at 1e5,
+        # and a refill must hold the 5 _CHECK words of _CHECK proposals
+        self._width = min(self._WORDS, 5 * self._CHECK + 8 * math.isqrt(n))
 
     def draw(self, rng: np.random.Generator) -> Partition:
-        return self._finish(_draw_seed(rng), 0, [], self.n)
+        return _partition(*self._finish(_draw_seed(rng), 0, self.n))
 
-    def _finish(self, seed: int, read: int, parts: list[int], m: int) -> Partition:
-        """The partition of the draw whose Mersenne Twister is seeded with
-        seed, taken up after its first read 64-bit words, with the parts
-        drawn so far (in descending order) and remainder m: the pairs (d, j)
-        of each step, drawn by rejection, until the remainder is at most 1.
-        The one implementation of the exact route's step: draw runs a whole
-        draw through it, draw_block the rest of each lane."""
+    def _finish(self, seed: int, read: int, m: int) -> tuple[list[int], list[int]]:
+        """The pairs (d, j) of the draw whose Mersenne Twister is seeded with
+        seed, from remainder m on, taken up after its first read 64-bit
+        words: the pair of each step, drawn by rejection, until the
+        remainder is at most 1, then (1, 1) if it is 1; as a list of d and a
+        list of j.  The one implementation of the exact route's step: draw
+        runs a whole draw through it, draw_block the rest of each lane."""
         if m <= 1:
-            # a lane that is done reads no word and holds its parts in
-            # order, so it neither seeds, skips nor sorts: at n = 1e5 the
-            # skip of a whole draw's 2,500 words alone takes about 46 us, 5 %
-            # of an observation on the block path
-            return Partition(tuple(parts + [1] * m))
+            # a lane that is done reads no word, so it neither seeds nor
+            # skips: at n = 1e5 the skip of a whole draw's 2,500 words alone
+            # takes about 46 us
+            return [1] * m, [1] * m
         # getrandbits is used directly because randrange's algorithm may
         # change between Python versions; getrandbits(64 k) reads the words
         # of k calls of getrandbits(64), and getrandbits(0) reads none
@@ -311,103 +349,143 @@ class _ExactRecursiveSampler:
                 if less([v, 64], accept):
                     return d, j
 
+        ds, js = [], []
         while m > 1:
             d, j = step(m)
-            parts.extend([d] * j)
+            ds.append(d)
+            js.append(j)
             m -= d * j
-        parts.extend([1] * m)
-        parts.sort(reverse=True)
-        return Partition(tuple(parts))
+        return ds + [1] * m, js + [1] * m
 
-    def draw_block(self, seeds: list[int]) -> Iterator[tuple[int, Partition]]:
-        """The partitions of draws from the given _draw_seed values, made in
-        lockstep, one lane per seed: yields (position in seeds, partition)
-        as each lane finishes, in no fixed order.  Each partition equals
-        the one draw makes from a stream whose _draw_seed is that seed."""
-        n, width, tol = self.n, self._WORDS, self._TOL
+    def draw_block(self, seeds: list[int]) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """The draws from the given _draw_seed values, made in lockstep, one
+        lane per seed: yields (position in seeds, d, j) as each lane
+        finishes, in no fixed order, with d and j int64 arrays of its pairs
+        in the order drawn.  They are the pairs of _finish, so
+        _partition(d, j) is the partition that draw makes from a stream
+        whose _draw_seed is that seed."""
+        n, tol, width, check = self.n, self._TOL, self._width, self._CHECK
         lps, rhos = self._lp, self._rho
-        # each lane's generator, as draw seeds it, and its buffered words
+        # each lane's generator, as draw seeds it; lane k's buffer buf[k]
+        # holds the words of its last refill in its last width places, and
+        # in front of them the words of the refill before that it had not
+        # read (fewer than the 5 check proposals read at most)
         gens = [random.Random(seed).getrandbits for seed in seeds]
-        words = np.empty((len(gens), width), np.uint64)
-        flat = words.reshape(-1)
-        # the lanes still in lockstep, and for each the start of its buffer
-        # in flat, its next unread word, the words drawn from its generator
-        # (the buffer holds the last width of them) and its remainder; each
-        # buffer starts spent, so the refill below draws its first words
-        lane = np.arange(len(gens))
-        row = lane * width
-        at = np.full(len(gens), width, np.int64)
-        taken = np.zeros(len(gens), np.int64)
-        m = np.full(len(gens), n, np.int64)
-        # pairs[s, :, k] is the (d, j) pair of step s of lane k; it grows
-        # along its first axis, in place, so that no copy of it is made
-        pairs = np.zeros((64, 2, len(gens)), np.int32)
-        steps = np.zeros(len(gens), np.int64)
+        spare = 5 * check - 1
+        buf = np.empty((len(seeds), spare + width), "<u8")
+        flat = buf.reshape(-1)
+        # the bytes of buf, which a refill writes without a numpy call per
+        # lane or a joined copy of the words of all lanes
+        raw = memoryview(flat).cast("B")
+        # one row per lane still in lockstep: the lane (its position in
+        # seeds and its row of buf), its read position in flat, the words
+        # drawn from its generator, its remainder, and the slot in pd and pj
+        # of its next step: the lane's column in the pairs arrays, which
+        # hold one row per step, plus its steps times their width cols.
+        # Each buffer starts spent, so the first refill draws its first
+        # words; a lane that leaves at once draws none
+        state = np.zeros((5, len(seeds)), np.int64)
+        lane, pos, taken, m, slot = state
+        lane[:] = slot[:] = np.arange(len(seeds))
+        pos[:] = (lane + 1) * buf.shape[1]
+        m[:] = n
+        rows, cols = 64, len(seeds)
+        pd, pj = np.empty(rows * cols, np.int32), np.empty(rows * cols, np.int32)
         # a lane leaves when it is done, when its last proposal was left
-        # undecided, or when few lanes are left; _finish takes it up at its
-        # next unread word
-        leave = m <= 1
-
+        # undecided, or when few lanes are left; _finish takes it up at the
+        # first word of that proposal
+        leave, undecided = m <= 1, np.zeros(len(seeds), bool)
+        fits = inside = undecided
         offsets = np.arange(5)[:, None]
-        while len(lane):
+        log_c = math.log(2 * (1 + 2.0**-40))
+        it = 0
+        while True:
             if len(lane) <= self._FEW:
-                leave[:] = True
-            if leave.any():
-                for i in np.flatnonzero(leave):
-                    k = lane[i]
-                    # sorted in numpy, faster than list.sort on these parts;
-                    # _finish's sort then finds them in order
-                    parts = np.sort(np.repeat(pairs[: steps[k], 0, k], pairs[: steps[k], 1, k]))
-                    read = int(taken[i] - width + at[i])
-                    yield int(k), self._finish(seeds[k], read, parts[::-1].tolist(), int(m[i]))
-                keep = ~leave
-                lane, row, at, taken, m = lane[keep], row[keep], at[keep], taken[keep], m[keep]
+                leave = np.ones_like(leave)
+            out = np.flatnonzero(leave)
+            # the words a lane has read: those drawn less those not read,
+            # less those of an undecided proposal, 2, 4 or 5 by how far draw
+            # reads it
+            read = taken[out] + pos[out] - (lane[out] + 1) * buf.shape[1]
+            read -= np.where(undecided, 2 + 2 * fits + inside, 0)[out]
+            for k, rest, s, r in zip(*state[[0, 3, 4]][:, out].tolist(), read.tolist()):
+                # _finish seeds a generator of its own, so the lane's is
+                # dropped first and its memory serves that one
+                gens[k] = None
+                d, j = self._finish(seeds[k], r, rest)
+                # the lane's column of the pairs arrays, up to its slot
+                c = s % cols
+                yield (k, np.concatenate((pd[c:s:cols], np.array(d, np.int64))),
+                       np.concatenate((pj[c:s:cols], np.array(j, np.int64))))
+            if len(out):
+                state = state[:, ~leave]
+                lane, pos, taken, m, slot = state
                 if not len(lane):
                     return
-            # lanes with fewer than the five words of a proposal left
-            # shift them to the front and refill from their generator
-            for i in (at > width - 5).nonzero()[0].tolist():
-                k, start = int(lane[i]), int(at[i])
-                words[k, : width - start] = words[k, start:]
-                words[k, width - start :] = _words(gens[k], start)
-                at[i] = 0
-                taken[i] += start
-            # one proposal per lane: j from words 0 and 1, G1 and G2
-            # from 2 and 3, the acceptance from 4; each decided in
-            # floats by draw's rule, or else left to _finish
-            w = flat[row + at + offsets]
-            j = _pair_j(w[0], w[1], m)
-            v = w[2:].astype(np.float64)
-            nonzero = v > 0
-            v = np.maximum(v, 1.0)
-            u = np.log(v * 2.0**-64)
-            inv = 1 / v
-            lrho = np.log(rhos[m])
-            lr = j * lrho
-            a = np.floor(u[:2] / lr)
-            geo = (nonzero[:2] & ((a + 1) * lr + tol <= u[:2]) & (a * lr - tol >= u[:2] + inv[:2])).all(axis=0)
-            d = 1 + a[0] + a[1]
-            q = d * j
-            fits = j <= m
-            inside = fits & (q <= m)
-            base = lps[m] + np.log(2 * (1 + 2.0**-40) / (lrho * lrho))
-            la = (lps[np.where(inside, m - q, 0).astype(np.int64)] - (q - j) * lrho
-                  - 2 * np.log(-np.expm1(lr)) + np.log(j * (j + 1)) - base)
-            accept = nonzero[2] & (u[2] + inv[2] + tol <= la)
-            reject = nonzero[2] & (u[2] - tol >= la)
-            took = fits & geo & inside & accept
-            undecided = fits & ~(geo & (~inside | accept | reject))
-            # words read: 2 for a j past m, 4 for a q past m, else 5; an
-            # undecided proposal is read again by _finish
-            at += np.where(undecided, 0, np.where(fits, 4 + inside, 2))
-            lanes = lane[took]
-            if len(lanes) and steps[lanes].max() >= len(pairs):
-                pairs.resize((2 * len(pairs), 2, len(gens)), refcheck=False)
-            pairs[steps[lanes], 0, lanes] = d[took]
-            pairs[steps[lanes], 1, lanes] = j[took]
-            steps[lanes] += 1
-            m -= np.where(took, q, 0).astype(np.int64)
-            leave = undecided | (m <= 1)
+            with np.errstate(all="ignore"):
+                while True:
+                    if it % check == 0:
+                        if slot.max() >= (rows - check) * cols:
+                            # room for check more steps per lane: the pairs
+                            # arrays double their rows and keep only the
+                            # columns of the lanes still in lockstep
+                            used = int(slot.max()) // cols + 1
+                            col = slot % cols
+                            pd = _regrid(pd, rows, used, col)
+                            pj = _regrid(pj, rows, used, col)
+                            slot[:] = slot // cols * len(lane) + np.arange(len(lane))
+                            rows, cols = 2 * rows, len(lane)
+                        # lanes with fewer words left than check proposals
+                        # may read move them to the front and refill
+                        refill = np.flatnonzero(pos - lane * buf.shape[1] >= width)
+                        if len(refill):
+                            ks = lane[refill]
+                            buf[ks, :spare] = buf[ks, -spare:]
+                            for k in ks.tolist():
+                                end = 8 * (k + 1) * buf.shape[1]
+                                words = gens[k](64 * width).to_bytes(8 * width, "little")
+                                raw[end - 8 * width : end] = words
+                            pos[refill] -= width
+                            taken[refill] += width
+                    it += 1
+                    # one proposal per lane: j from words 0 and 1, G1 and G2
+                    # from 2 and 3, the acceptance from 4; each decided in
+                    # floats by draw's rule, or else left to _finish.  A zero
+                    # word makes its log -inf and its 1/v inf, so every
+                    # comparison it enters fails
+                    w = flat[pos + offsets]
+                    j = _pair_j(w[0], w[1], m)
+                    v = w[2:].astype(np.float64)
+                    u = np.log(v * 2.0**-64)
+                    top = u + 1 / v
+                    lrho = np.log(rhos[m])
+                    lr = j * lrho
+                    a = np.floor(u[:2] / lr)
+                    b = a * lr
+                    g = (b + (lr + tol) <= u[:2]) & (b - tol >= top[:2])
+                    geo = g[0] & g[1]
+                    d = a[0] + a[1] + 1
+                    q = d * j
+                    fits = j <= m
+                    inside = q <= m
+                    # q as an integer where it is one, anything elsewhere
+                    qi = q.astype(np.int64)
+                    # log A + log_c; b[0] + b[1] is (q - j) log rho
+                    la = (lps.take(m - qi, mode="clip") - lps[m] - (b[0] + b[1])
+                          + np.log(j * (j + 1) * (lrho / np.expm1(lr)) ** 2))
+                    accept = top[2] + (tol + log_c) <= la
+                    settled = accept | (u[2] + (log_c - tol) >= la)
+                    took = inside & geo & accept
+                    undecided = fits & ~(geo & (~inside | settled))
+                    # 2 words for a j past m, 4 for a q past m, else 5
+                    pos += 2 + 2 * fits + inside
+                    pd[slot] = d
+                    pj[slot] = j
+                    slot += took * cols
+                    m -= qi * took
+                    leave = undecided | (m <= 1)
+                    if leave.any():
+                        break
 
 
 def _draw_seed(rng: np.random.Generator) -> int:
@@ -416,11 +494,52 @@ def _draw_seed(rng: np.random.Generator) -> int:
     return int.from_bytes(rng.bytes(16), "little")
 
 
-def _words(bits, k: int) -> np.ndarray:
-    """The next k 64-bit words of a generator, as k calls of bits(64) would
-    give them: getrandbits(64 k) holds them in order, least significant
-    first."""
-    return np.frombuffer(bits(64 * k).to_bytes(8 * k, "little"), "<u8")
+def _partition(d: list[int], j: list[int]) -> Partition:
+    """The partition with j copies of each part d, from pairs (d, j)."""
+    parts = []
+    for part, copies in zip(d, j):
+        parts += [part] * copies
+    parts.sort(reverse=True)
+    return Partition(tuple(parts))
+
+
+def _pairs_hooks(d: np.ndarray, j: np.ndarray, sizes: list[int], u: list[int]) -> np.ndarray:
+    """hook_length(p, cell_from_index(p, u)) for each of several partitions
+    p, given by pairs (d, j), j copies of the part d: partition k has the
+    next sizes[k] pairs of d and j, in any order and a d maybe in more than
+    one pair, and the cell index u[k].  With each partition's pairs in
+    descending d, the cumulative sums of j and of d j count the rows and the
+    cells before each pair; the cell lies in the first pair whose cells
+    reach u, and the rows at least as long as its column are those of the
+    pairs down to the last d at least that."""
+    lane = np.repeat(np.arange(len(sizes)), sizes)
+    # sorted by key: by partition, then by descending d
+    top = int(d.max()) + 1
+    key = lane * top + (top - 1 - d)
+    order = np.argsort(key)
+    key, d, j = key[order], d[order], j[order]
+    rows, cells = np.zeros(len(d) + 1, np.int64), np.zeros(len(d) + 1, np.int64)
+    np.cumsum(j, out=rows[1:])
+    np.cumsum(d * j, out=cells[1:])
+    start = np.cumsum(sizes) - sizes
+    target = cells[start] + u
+    k = np.searchsorted(cells[1:], target)
+    part, first = d[k], rows[start]
+    at = target - 1 - cells[k]  # the cell's place among pair k's cells
+    t = rows[k] - first + at // part + 1
+    s = at % part + 1
+    height = rows[np.searchsorted(key, np.arange(len(sizes)) * top + (top - 1 - s), side="right")] - first
+    return part - s + height - t + 1
+
+
+def _regrid(pairs: np.ndarray, rows: int, used: int, col: np.ndarray) -> np.ndarray:
+    """A flat pairs array of rows rows, as one of 2 rows rows and the
+    columns col, holding their first used rows.  The rows past those are
+    not written, so no memory is touched for them until a step is."""
+    out = np.empty((2 * rows, len(col)), pairs.dtype)
+    # every col is in range; a mode other than "raise" writes out unbuffered
+    np.take(pairs.reshape(rows, -1)[:used], col, axis=1, out=out[:used], mode="clip")
+    return out.reshape(-1)
 
 
 def _pair_j(lo: np.ndarray, hi: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -555,7 +674,7 @@ def _observe_trials(cfg: SamplerConfig, trials: range) -> list[HookObservation]:
     """observe_hook over a range of trials.  The exact route draws them in
     blocks of at most _BLOCK trials in lockstep.  A trial's stream gives
     its draw seed and then its cell index, as in observe_hook, so both are
-    read before the draw and the stream is dropped; each partition is
+    read before the draw and the stream is dropped; each lane's pairs are
     dropped once its hook is taken."""
     if cfg.algorithm != EXACT_RECURSIVE:
         return [observe_hook(cfg, trial) for trial in trials]
@@ -569,8 +688,19 @@ def _observe_trials(cfg: SamplerConfig, trials: range) -> list[HookObservation]:
             rng = stream(cfg.seed, trial)
             seeds.append(_draw_seed(rng))
             cells.append(_cell_index(rng, cfg.n))
-        for i, p in sampler.draw_block(seeds):
-            out[lo + i] = _observation(cfg, p, cell_from_index(p, cells[i]))
+        done, ds, js, pairs = [], [], [], 0
+        for finished, (i, d, j) in enumerate(sampler.draw_block(seeds), start=1):
+            done.append(i)
+            ds.append(d)
+            js.append(j)
+            pairs += len(d)
+            if pairs < _HOOK_PAIRS and finished < len(seeds):
+                continue
+            hooks = _pairs_hooks(np.concatenate(ds), np.concatenate(js), [len(x) for x in ds],
+                                 [cells[i] for i in done])
+            for i, hook in zip(done, hooks.tolist()):
+                out[lo + i] = HookObservation(n=cfg.n, hook=hook, scaled=scale_hook(hook, cfg.n))
+            done, ds, js, pairs = [], [], [], 0
     return out
 
 

@@ -64,6 +64,33 @@ def test_blocked_table_matches_plain_recurrence(monkeypatch, prefix):
     assert table == _plain_partition_counts(3000)
 
 
+def test_ascending_table_extensions_match_plain_recurrence(monkeypatch):
+    # one row at a time, as p(1), p(2), ... extend it, across a block edge
+    monkeypatch.setattr(exact, "_PTABLE", [1])
+    want = _plain_partition_counts(exact._PTABLE_BLOCK + 3)
+    assert [exact.partition_count(m) for m in range(len(want))] == want
+    assert exact._PTABLE == want
+
+
+def test_one_row_extension_copies_no_table(monkeypatch):
+    # p(20001) on a table of p(0..20000) is one row of the recurrence, about
+    # 230 pentagonal terms: nothing of the size of the table is allocated,
+    # such as the 160 KB of pointers of an object array over it
+    table = exact.partition_counts(20_000)
+    # a list grows its capacity in steps, so the row is appended in place
+    table.append(0)
+    table.pop()
+    monkeypatch.setattr(exact, "_PTABLE", table)
+    tracemalloc.start()
+    try:
+        exact.partition_count(20_001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(exact._PTABLE) == 20_002
+    assert peak < 8 * 20_000 // 4, peak
+
+
 def test_count_matches_enumeration_to_40():
     for n in range(41):
         assert partition_count(n) == sum(1 for _ in iter_partitions(n))

@@ -11,9 +11,8 @@ from scipy.stats import chi2, chi2_contingency
 from hooklaw import asymptotics, exact, sampling
 from hooklaw.errors import ResourceError
 from hooklaw.exact import hook_distribution_via_part_counts, iter_partitions, partition_counts
-from hooklaw.partitions import Cell, Partition
+from hooklaw.partitions import Cell, Partition, hook_length
 from hooklaw.sampling import (
-    _BLOCK,
     EXACT_RECURSIVE,
     FRISTEDT_REJECTION,
     SamplerConfig,
@@ -21,6 +20,8 @@ from hooklaw.sampling import (
     _draw_seed,
     _FristedtSampler,
     _pair_j,
+    _pairs_hooks,
+    _partition,
     cell_from_index,
     default_algorithm,
     make_sampler,
@@ -153,7 +154,7 @@ def test_part_multiplicities_match_exact_law(algorithm, n):
     if algorithm == EXACT_RECURSIVE:
         sampler = make_sampler(SamplerConfig(n, algorithm, SEED))
         seeds = [_draw_seed(stream(SEED, trial)) for trial in range(count)]
-        draws = [p for _, p in sampler.draw_block(seeds)]
+        draws = [_partition(d.tolist(), j.tolist()) for _, d, j in sampler.draw_block(seeds)]
     else:
         draws = _draws(n, algorithm, count)
     table = partition_counts(n)
@@ -448,16 +449,29 @@ def test_draws_leave_exact_sampler_unchanged():
             assert after[name] == value, name
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 100, 129, 3000, 20000, 100000])
-def test_block_draws_match_per_trial_draws(n):
+def _block_draws_match_per_trial_draws(n):
     # the lockstep block path of sample_hooks gives, byte for byte, what
     # observe_hook gives trial by trial, for every block split and worker
     # split; a count of 1 runs its one lane through the scalar step alone
+    block = sampling._BLOCK
     cfg = SamplerConfig(n, EXACT_RECURSIVE, SEED)
-    want = [observe_hook(cfg, trial) for trial in range(2 * _BLOCK + 3)]
-    for count in (1, _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 3):
+    want = [observe_hook(cfg, trial) for trial in range(2 * block + 3)]
+    for count in (1, block - 1, block + 1, 2 * block + 3):
         for threads in (1, 2):
             assert sample_hooks(cfg, count, threads=threads) == want[:count], (count, threads)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 100, 129, 3000, 20000, 100000])
+def test_block_draws_match_per_trial_draws(monkeypatch, n):
+    # at blocks of 256, so that the per-trial reference stays cheap at large
+    # n; the forked workers inherit the block size
+    monkeypatch.setattr(sampling, "_BLOCK", 256)
+    _block_draws_match_per_trial_draws(n)
+
+
+@pytest.mark.parametrize("n", [5, 3000])
+def test_full_block_draws_match_per_trial_draws(n):
+    _block_draws_match_per_trial_draws(n)
 
 
 @pytest.mark.parametrize(
@@ -478,8 +492,8 @@ def test_block_draws_through_the_exact_route(monkeypatch, n, ptable, tol):
     want = [sampler.draw(stream(SEED, trial)) for trial in range(count)]
     monkeypatch.setattr(_ExactRecursiveSampler, "_TOL", tol)
     got = [None] * count
-    for i, p in sampler.draw_block([_draw_seed(stream(SEED, trial)) for trial in range(count)]):
-        got[i] = p
+    for i, d, j in sampler.draw_block([_draw_seed(stream(SEED, trial)) for trial in range(count)]):
+        got[i] = _partition(d.tolist(), j.tolist())
     assert got == want
 
 
@@ -514,3 +528,105 @@ def test_pair_j_is_exact():
     hi = np.array([v >> 64 for v in values], np.uint64)
     want = [min(big // (v + 1), m + 1) for v, m in zip(values, bounds)]
     assert _pair_j(lo, hi, np.array(bounds, np.int64)).tolist() == want
+
+
+def test_pairs_hooks_match_hook_length():
+    # every cell of every partition of n <= 12, each partition written as
+    # shuffled pairs (d, j): a part of multiplicity c > 1 as (d, 1) and
+    # (d, c - 1), and a part 1 as a remainder pair (1, 1) of its own
+    gen = random.Random(SEED)
+    for n in range(1, 13):
+        ds, js, sizes, cells, want = [], [], [], [], []
+        for p in iter_partitions(n):
+            pairs = []
+            for d, c in Counter(p.parts).items():
+                if d == 1:
+                    pairs.append((1, 1))
+                    c -= 1
+                if c > 1:
+                    pairs.append((d, 1))
+                    c -= 1
+                if c:
+                    pairs.append((d, c))
+            for u in range(1, n + 1):
+                gen.shuffle(pairs)
+                ds += [d for d, _ in pairs]
+                js += [c for _, c in pairs]
+                sizes.append(len(pairs))
+                cells.append(u)
+                want.append(hook_length(p, cell_from_index(p, u)))
+        got = _pairs_hooks(np.array(ds), np.array(js), sizes, cells)
+        assert got.tolist() == want, n
+
+
+class _Words:
+    """random.Random's getrandbits over the words of random.Random(seed),
+    for a stub of sampling.random.Random: each instance logs the size of
+    every call in calls, and its words at the places in zeros[seed] are 0.
+    getrandbits(64 k) joins k words, the first least significant."""
+
+    random = random.Random
+    zeros: dict[int, set[int]] = {}
+    made: list["_Words"] = []
+
+    def __init__(self, seed):
+        self.seed, self.words, self.calls, self.at = seed, self.random(seed).getrandbits, [], 0
+        self.made.append(self)
+
+    def getrandbits(self, k):
+        assert k >= 0 and k % 64 == 0
+        zeros, out = self.zeros.get(self.seed, ()), 0
+        for i in range(k // 64):
+            word = self.words(64)
+            out |= (0 if self.at in zeros else word) << (64 * i)
+            self.at += 1
+        self.calls.append(k)
+        return out
+
+
+@pytest.mark.parametrize("role", ["j", "geometric", "acceptance"])
+def test_block_draws_catch_zero_words(monkeypatch, role):
+    # a zero word makes a float log -inf; draw settles its comparison in
+    # exact rationals, and draw_block leaves that proposal to _finish.  A
+    # lane gets zeros at its third proposal that reads all 5 words: both j
+    # words (V = 0, so j = 2^128, past m), G1, or the acceptance word
+    n, count = 3000, _ExactRecursiveSampler._FEW + 8
+    sampler = make_sampler(SamplerConfig(n, EXACT_RECURSIVE))
+    monkeypatch.setattr(sampling.random, "Random", _Words)
+    monkeypatch.setattr(_Words, "zeros", {})
+    monkeypatch.setattr(_Words, "made", [])
+    seeds = [_draw_seed(stream(SEED, trial)) for trial in range(count)]
+    # every third lane, since a zero geometric word is slow to settle exactly
+    for seed in seeds[::3]:
+        sampler._finish(seed, 0, n)
+        calls = _Words.made[-1].calls
+        # a 128-bit call followed by three 64-bit calls, the third such
+        full = [i for i in range(len(calls) - 4) if calls[i : i + 5] == [128, 64, 64, 64, 128]]
+        at = sum(calls[: full[2]]) // 64
+        _Words.zeros[seed] = {"j": {at, at + 1}, "geometric": {at + 2}, "acceptance": {at + 4}}[role]
+    want = [sampler.draw(stream(SEED, trial)) for trial in range(count)]
+    got = [None] * count
+    for i, d, j in sampler.draw_block(seeds):
+        got[i] = _partition(d.tolist(), j.tolist())
+    assert got == want
+
+
+def test_block_lanes_draw_words_for_their_n(monkeypatch):
+    # a lane draws its words in refills sized to what a draw at n reads:
+    # at n = 3, where a draw reads 28 words on average, a lane draws at most
+    # a few dozen more than it reads, not a 256-word buffer
+    n, count = 3, 200
+    sampler = make_sampler(SamplerConfig(n, EXACT_RECURSIVE))
+    monkeypatch.setattr(sampling.random, "Random", _Words)
+    monkeypatch.setattr(_Words, "made", [])
+    seeds = [_draw_seed(stream(SEED, trial)) for trial in range(count)]
+    for _ in sampler.draw_block(seeds):
+        pass
+    drawn = [sum(w.calls) // 64 for w in _Words.made[:count]]
+    del _Words.made[:]
+    read = []
+    for seed in seeds:
+        sampler._finish(seed, 0, n)
+        read.append(sum(_Words.made[-1].calls) // 64)
+    assert all(d - r <= 96 for d, r in zip(drawn, read)), max(d - r for d, r in zip(drawn, read))
+    assert sum(drawn) <= 3 * sum(read)
