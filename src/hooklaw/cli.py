@@ -36,14 +36,8 @@ def _float_repr(x: float) -> str:
 def _json(obj) -> str:
     """Tiny JSON writer: floats at 12 significant digits, insertion order
     preserved.  Exact integers must already be strings by construction."""
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
     if isinstance(obj, float):
         return _float_repr(obj)
-    if isinstance(obj, int):
-        return str(obj)
     if isinstance(obj, str):
         escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{escaped}"'

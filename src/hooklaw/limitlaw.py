@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +32,10 @@ def density(u: float) -> float:
     """6u / (pi^2 (e^u - 1)) for u > 0, zero at and below 0.
 
     The singularity at 0 is removable; below 1e-8 the limit value 6/pi^2
-    is returned directly.
+    is returned directly.  The general form would not do there: below
+    about 3.7e-308 its first product (6/pi^2) u is subnormal (at u =
+    5e-324 the form gives 1.0), and the grouping (6/pi^2) (u / expm1(u)),
+    which avoids that, rounds other values differently.
     """
     if u <= 0.0:
         return 0.0
@@ -79,15 +83,20 @@ def exact_sup_distance(n: int) -> float:
     table, so the figure carries no sampling noise: it is the lattice bias
     alone."""
     dist = hook_distribution_via_part_counts(n)
-    total = dist.total
-    acc = 0
-    worst = 0.0
-    for k in range(1, n + 1):
-        lo = acc / total
-        acc += dist.weights.get(k, 0)
-        model = cdf(scale_hook(k, n))
-        worst = max(worst, abs(model - lo), abs(model - acc / total))
-    return worst
+    # the law's CDF from exact integer partial sums, each rounded once
+    upto = [acc / dist.total for acc in accumulate(dist.weights.get(k, 0) for k in range(1, n + 1))]
+    return _sup_gap([scale_hook(k, n) for k in range(1, n + 1)], [0.0] + upto[:-1], upto)[1]
+
+
+def _sup_gap(values: Sequence[float], below: Sequence[float], upto: Sequence[float]) -> tuple[int, float]:
+    """The sup distance of the limit CDF to a step function, over both
+    sides of each of its steps: the steps at ascending values, with the
+    step function's value below[i] just left of values[i] and upto[i] at
+    it.  Returns the index of the largest gap and that gap."""
+    model = np.array([cdf(v) for v in values])
+    gaps = np.maximum(np.abs(model - upto), np.abs(model - below))
+    at = int(np.argmax(gaps))
+    return at, float(gaps[at])
 
 
 def limit_moment(m: int) -> float:
@@ -147,16 +156,13 @@ def ks_statistic(sample: Sequence[float], n: int | None = None) -> GofReport:
     count = data.size
     values, multiplicity = np.unique(data, return_counts=True)
     ecdf_hi = np.cumsum(multiplicity) / count
-    ecdf_lo = ecdf_hi - multiplicity / count
-    model = np.array([cdf(v) for v in values])
-    gaps = np.maximum(np.abs(model - ecdf_hi), np.abs(model - ecdf_lo))
-    at = int(np.argmax(gaps))
+    at, gap = _sup_gap(values, ecdf_hi - multiplicity / count, ecdf_hi)
     mean = float(data.mean())
     msq = float(np.mean(data**2))
     return GofReport(
         n=n,
         sample_count=count,
-        ks_distance=float(gaps[at]),
+        ks_distance=gap,
         ks_location=float(values[at]),
         ks_reference=1.95 / math.sqrt(count),
         mean_scaled=mean,

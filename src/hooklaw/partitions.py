@@ -106,6 +106,4 @@ def profile(p: Partition, t: float) -> int:
     """
     if t < 0:
         raise ValueError(f"profile argument must be nonnegative, got {t}")
-    if t <= 1:
-        return len(p.parts)
     return _count_parts_ge(p.parts, t)

@@ -39,27 +39,12 @@ so worker processes reproduce the serial observation sequence exactly no
 matter how trials are split.
 
 On the exact route, sample_hooks draws its trials in blocks of at most
-_BLOCK = 1024, in lockstep (_ExactRecursiveSampler.draw_block), and each
-worker takes one contiguous range of trials.  A trial is a lane: its
-Mersenne Twister is seeded as draw seeds it, and its 64-bit words are read
-ahead in refills of getrandbits(64 * k), which holds the words that k calls
-of getrandbits(64) return, in order (getrandbits(128) is two of them, low
-word first); k grows with n, to about what a draw reads, up to 256.  One
-numpy iteration makes one proposal (j, G1, G2, acceptance) for every
-unfinished lane and decides each comparison in floats by draw's rule, in
-float forms of its own whose error stays far below the rule's tolerance.
-That rule answers only where the exact route gives the same answer from
-the same bits, so neither those forms nor the last-bit differences between
-numpy's and math's log or expm1 can change a decision.  A lane leaves the
-lockstep one way, through draw's own loop (_finish): when it is done, when
-its floats leave a proposal undecided (as a zero word does), or when few
-lanes remain.  _finish seeds the lane's generator again and skips the
-words the lane has read, so it takes the lane up at its next unread word
-(a lane that is done reads no word).  Every lane thus reads the words draw
-reads and decides as draw decides.  A lane's result is its pairs (d, j),
-and sample_hooks reads each hook from them (_pairs_hooks) without building
-the partition, so the observations are byte for byte those of
-observe_hook, trial by trial.
+_BLOCK = 1024, in lockstep (_ExactRecursiveSampler.draw_block; the class
+docstring shows that every lane reads the words draw reads and decides as
+draw decides), and each worker takes one contiguous range of trials.  A
+lane's result is its pairs (d, j), and sample_hooks reads each hook from
+them (_pairs_hooks) without building the partition, so the observations
+are byte for byte those of observe_hook, trial by trial.
 """
 
 from __future__ import annotations
@@ -107,8 +92,10 @@ def default_algorithm(n: int) -> str:
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Target size, algorithm choice, and the 64-bit stream seed.  The
-    algorithm defaults to default_algorithm(n)."""
+    """Target size, algorithm choice, and the 64-bit stream seed, in
+    [0, 2^64): stream reads the seed modulo 2^64, so a seed past that range
+    would repeat one inside it.  The algorithm defaults to
+    default_algorithm(n)."""
 
     n: int
     algorithm: str | None = None
@@ -117,6 +104,8 @@ class SamplerConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
         if self.algorithm is None:
             object.__setattr__(self, "algorithm", default_algorithm(self.n))
         if self.algorithm not in ALGORITHMS:
@@ -183,17 +172,27 @@ class _ExactRecursiveSampler:
     output does not depend on which one answered.
 
     The sampler keeps two float64 arrays over 0..n, log p and rho_m: 16
-    bytes per unit of n, and about 40 at the peak of construction (peak
-    RSS 33.6 / 67.9 / 106.1 MiB at n = 1e5 / 1e6 / 2e6, from 29 MiB after
-    import, Linux x86-64).  It is not written to after construction.
+    bytes per unit of n.  It is not written to after construction.
 
-    draw_block makes the draws of a block of seeds in lockstep, as the
-    module docstring describes.  Each lane leaves through _finish, which
-    seeds the lane's generator again, unless the lane is done, and skips
-    the words the lane has read: those drawn from its generator, less the
-    buffered ones not yet read, less those of a proposal left undecided.
-    That costs a lane tens of microseconds against a draw's milliseconds,
-    and keeps the scalar step in one place.
+    draw_block makes the draws of a block of seeds in lockstep, one lane
+    per seed.  A lane's Mersenne Twister is seeded as draw seeds it, and
+    its 64-bit words are read ahead in refills of getrandbits(64 k), which
+    holds the words that k calls of getrandbits(64) return, in order
+    (getrandbits(128) is two of them, low word first); k grows with n, to
+    about what a draw reads, up to _WORDS.  One numpy iteration makes one
+    proposal (j, G1, G2, acceptance) for every lane in lockstep and decides
+    each comparison in floats by draw's rule, in float forms of its own
+    (below).  That rule answers only where the exact route gives the same
+    answer from the same bits, so neither those forms nor the last-bit
+    differences between numpy's and math's log or expm1 can change a
+    decision.  A lane leaves the lockstep one way, through _finish: when it
+    is done, when its floats leave a proposal undecided (as a zero word
+    does), or when few lanes remain.  _finish seeds the lane's generator
+    again, unless the lane is done, and skips the words the lane has read:
+    those drawn from its generator, less the buffered ones not yet read,
+    less those of a proposal left undecided.  So every lane reads the words
+    draw reads and decides as draw decides, and the scalar step has one
+    home.
 
     The lockstep keeps for each lane its read position in one flat buffer
     of words, its remainder, and the slot of its next step in two int32
@@ -216,15 +215,6 @@ class _ExactRecursiveSampler:
     last place (lr / expm1(lr) is no more sensitive to lr than lr itself),
     so the log is off by under 1e-14.  Each form adds about 1e-14, and the
     whole float error stays below 1e-10 up to n = 1e8.
-
-    On a 2-CPU host (Linux x86-64, Python 3.11.7, numpy 2.4.6, a fresh
-    process per run, three runs), an observation with its cell and hook
-    cost 0.39-0.42 ms over 160 trials at n = 1e5 and 0.23-0.25 ms over
-    4,096, against 1.7-1.9 ms trial by trial; 0.65-0.72 ms over 1,024
-    trials at n = 1e6, against 5.4-6.0 ms; and 39-40 us over 10,000 trials
-    at n = 3, against 48-57 us.  A block of 1,024 lanes at n = 1e5 holds
-    about 9 MiB: 2.6 MiB of generators, 2.4 MiB of words and up to 4 MiB
-    of pairs.
     """
 
     # up to this remainder rho_m comes from the exact table
@@ -494,11 +484,10 @@ def _draw_seed(rng: np.random.Generator) -> int:
     return int.from_bytes(rng.bytes(16), "little")
 
 
-def _partition(d: list[int], j: list[int]) -> Partition:
-    """The partition with j copies of each part d, from pairs (d, j)."""
-    parts = []
-    for part, copies in zip(d, j):
-        parts += [part] * copies
+def _partition(d, j) -> Partition:
+    """The partition with j copies of each part d, from pairs (d, j) given
+    as two sequences or arrays of integers."""
+    parts = np.repeat(d, j).tolist()
     parts.sort(reverse=True)
     return Partition(tuple(parts))
 
@@ -601,10 +590,10 @@ class _FristedtSampler:
             k = n - int(j @ r)
             if k >= 0 and rng.random() < math.exp(-d * k):
                 self.accepted += 1
-                parts = sorted(np.repeat(j, r).tolist(), reverse=True) + [1] * k
-                if sum(parts) != n:
+                p = _partition(np.append(j, 1), np.append(r, k))
+                if p.n != n:
                     raise RuntimeError(f"accepted fristedt draw does not sum to n={n}")
-                return Partition(tuple(parts))
+                return p
         raise ResourceError(
             f"fristedt rejection exhausted its {FRISTEDT_TRIAL_BUDGET} trial budget at n={n}"
         )
@@ -654,9 +643,8 @@ def _cell_index(rng: np.random.Generator, n: int) -> int:
     return int(rng.integers(1, n + 1))
 
 
-def _observation(cfg: SamplerConfig, p: Partition, c: Cell) -> HookObservation:
-    hook = hook_length(p, c)
-    return HookObservation(n=cfg.n, hook=hook, scaled=scale_hook(hook, cfg.n))
+def _observation(n: int, hook: int) -> HookObservation:
+    return HookObservation(n=n, hook=hook, scaled=scale_hook(hook, n))
 
 
 def observe_hook(cfg: SamplerConfig, trial: int) -> HookObservation:
@@ -667,7 +655,7 @@ def observe_hook(cfg: SamplerConfig, trial: int) -> HookObservation:
     sampler = _sampler_for(cfg.n, cfg.algorithm)
     rng = stream(cfg.seed, trial)
     p = sampler.draw(rng)
-    return _observation(cfg, p, sample_cell(p, rng))
+    return _observation(cfg.n, hook_length(p, sample_cell(p, rng)))
 
 
 def _observe_trials(cfg: SamplerConfig, trials: range) -> list[HookObservation]:
@@ -699,7 +687,7 @@ def _observe_trials(cfg: SamplerConfig, trials: range) -> list[HookObservation]:
             hooks = _pairs_hooks(np.concatenate(ds), np.concatenate(js), [len(x) for x in ds],
                                  [cells[i] for i in done])
             for i, hook in zip(done, hooks.tolist()):
-                out[lo + i] = HookObservation(n=cfg.n, hook=hook, scaled=scale_hook(hook, cfg.n))
+                out[lo + i] = _observation(cfg.n, hook)
             done, ds, js, pairs = [], [], [], 0
     return out
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -47,13 +48,7 @@ class TruncatedSeries:
         # every slot of product + bias holds c_k + half, in [0, 2 half)
         bias = int.from_bytes((bytes(width - 1) + b"\x80") * (deg + 1), "little")
         product = _pack(a, width) * _pack(b, width) + bias
-        # the slots of x^0..x^deg: every higher term is a multiple of 2^(8 size)
-        size = width * (deg + 1)
-        raw = (product & ((1 << 8 * size) - 1)).to_bytes(size, "little")
-        slots = range(0, size, width)
-        return TruncatedSeries(
-            tuple(int.from_bytes(raw[k : k + width], "little") - half for k in slots)
-        )
+        return TruncatedSeries(tuple(c - half for c in _unpack(product, width, deg + 1)))
 
 
 def _pack(coeffs: tuple[int, ...], width: int) -> int:
@@ -63,6 +58,15 @@ def _pack(coeffs: tuple[int, ...], width: int) -> int:
     pos = b"".join(c.to_bytes(width, "little") if c > 0 else zero for c in coeffs)
     neg = b"".join((-c).to_bytes(width, "little") if c < 0 else zero for c in coeffs)
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _unpack(packed: int, width: int, count: int) -> Iterator[int]:
+    """The first count slots of width bytes of a nonnegative packed int, as
+    unsigned integers from slot 0 up; the slots above them, which every
+    higher term of a product fills, are ignored."""
+    size = width * count
+    raw = (packed & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+    return (int.from_bytes(raw[k : k + width], "little") for k in range(0, size, width))
 
 
 def _euler_slot_bytes(degree: int) -> int:
@@ -94,11 +98,7 @@ def euler_series(degree: int) -> TruncatedSeries:
         while s <= degree:
             c += (c & ((1 << w * (degree + 1 - s)) - 1)) << w * s
             s <<= 1
-    size = width * (degree + 1)
-    raw = c.to_bytes(size, "little")
-    return TruncatedSeries(
-        tuple(int.from_bytes(raw[k : k + width], "little") for k in range(0, size, width))
-    )
+    return TruncatedSeries(tuple(_unpack(c, width, degree + 1)))
 
 
 @lru_cache(maxsize=32)

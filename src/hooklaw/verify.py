@@ -150,27 +150,23 @@ def check_moment_asymptotic_gf(threads: int | None, quick: bool) -> tuple[bool, 
     return True, f"scaled mean at n={n}: {mean_scaled:.5f} vs {limitlaw.LIMIT_MEAN:.5f} ({rel:.2%})"
 
 
-def _ks_for(n: int, count: int, threads: int | None) -> limitlaw.GofReport:
-    cfg = sampling.SamplerConfig(n=n, algorithm=sampling.EXACT_RECURSIVE, seed=VERIFY_SEED)
-    obs = sampling.sample_hooks(cfg, count, threads=threads)
-    return limitlaw.ks_statistic([o.scaled for o in obs], n=n)
-
-
 def check_limit_monte_carlo(threads: int | None, quick: bool) -> tuple[bool, str]:
     """The weak-convergence property test: KS distance to the limit law
     strictly decreasing in n, and the scaled sample mean at the largest n
     within 3% of the limit mean with its 3-sigma band."""
     if quick:
-        sizes, count, mean_n, mean_count = (100, 1000), 20000, 1000, 20000
+        sizes, count, mean_n = (100, 1000), 20000, 1000
     else:
-        sizes, count, mean_n, mean_count = (100, 1000, 10000), 100000, 100000, 100000
-    reports = [_ks_for(n, count, threads) for n in sizes]
-    distances = [r.ks_distance for r in reports]
+        sizes, count, mean_n = (100, 1000, 10000), 100000, 100000
+    # one sample per distinct n, read by both the KS distances and the mean
+    samples = {}
+    for n in dict.fromkeys(sizes + (mean_n,)):
+        cfg = sampling.SamplerConfig(n=n, algorithm=sampling.EXACT_RECURSIVE, seed=VERIFY_SEED)
+        samples[n] = np.array([o.scaled for o in sampling.sample_hooks(cfg, count, threads=threads)])
+    distances = [limitlaw.ks_statistic(samples[n]).ks_distance for n in sizes]
     if not all(a > b for a, b in zip(distances, distances[1:])):
         return False, f"KS not strictly decreasing: {distances}"
-    cfg = sampling.SamplerConfig(n=mean_n, algorithm=sampling.EXACT_RECURSIVE, seed=VERIFY_SEED)
-    obs = sampling.sample_hooks(cfg, mean_count, threads=threads)
-    scaled = np.array([o.scaled for o in obs])
+    scaled = samples[mean_n]
     mean = float(scaled.mean())
     band = 3.0 * float(scaled.std(ddof=1)) / math.sqrt(len(scaled))
     target = limitlaw.LIMIT_MEAN
@@ -185,11 +181,10 @@ def check_limit_monte_carlo(threads: int | None, quick: bool) -> tuple[bool, str
 def _partition_chisq(algorithm: str, count: int) -> float:
     classes = [p.parts for p in exact.iter_partitions(5)]
     cfg = sampling.SamplerConfig(n=5, algorithm=algorithm, seed=VERIFY_SEED)
-    sampler = sampling.make_sampler(cfg)
-    freq: Counter = Counter()
-    for trial in range(count):
-        rng = sampling.stream(cfg.seed, trial)
-        freq[sampler.draw(rng).parts] += 1
+    freq = Counter(
+        sampling.sample_partition(cfg, sampling.stream(cfg.seed, trial)).parts
+        for trial in range(count)
+    )
     expected = count / len(classes)
     stat = sum((freq.get(c, 0) - expected) ** 2 / expected for c in classes)
     return _chi2_tail(stat, len(classes) - 1)
@@ -225,9 +220,8 @@ def check_sampler_uniformity(threads: int | None, quick: bool) -> tuple[bool, st
     if p_exact <= 0.001 or p_frist <= 0.001:
         return False, f"chi-square p-values {p_exact:.5f} / {p_frist:.5f}"
     cfg = sampling.SamplerConfig(n=37, algorithm=sampling.FRISTEDT_REJECTION, seed=VERIFY_SEED)
-    sampler = sampling.make_sampler(cfg)
     for trial in range(100 if quick else 500):
-        p = sampler.draw(sampling.stream(cfg.seed, trial))
+        p = sampling.sample_partition(cfg, sampling.stream(cfg.seed, trial))
         if p.n != 37:
             return False, f"accepted rejection draw sums to {p.n} != 37"
     return True, f"chi-square p-values: table {p_exact:.4f}, rejection {p_frist:.4f}; conditioning holds"
@@ -299,7 +293,7 @@ CHECKS: tuple[tuple[str, CheckFn], ...] = (
 )
 
 
-def run_checks(level: str, threads: int | None, emit=print) -> list[CheckOutcome]:
+def run_checks(level: str, threads: int | None) -> list[CheckOutcome]:
     if level not in ("quick", "full"):
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
     quick = level == "quick"
@@ -313,15 +307,15 @@ def run_checks(level: str, threads: int | None, emit=print) -> list[CheckOutcome
         seconds = time.perf_counter() - start
         outcomes.append(CheckOutcome(name, passed, detail, seconds))
         status = "PASS" if passed else "FAIL"
-        emit(f"{status}  {name:<32} {seconds:7.1f}s  {detail}")
+        print(f"{status}  {name:<32} {seconds:7.1f}s  {detail}")
     return outcomes
 
 
-def verify_all(level: str, threads: int | None, emit=print) -> int:
-    outcomes = run_checks(level, threads, emit=emit)
+def verify_all(level: str, threads: int | None) -> int:
+    outcomes = run_checks(level, threads)
     failed = [o for o in outcomes if not o.passed]
     if failed:
-        emit(f"FAILED: {', '.join(o.name for o in failed)}")
+        print(f"FAILED: {', '.join(o.name for o in failed)}")
         return 1
-    emit(f"all {len(outcomes)} checks passed ({level})")
+    print(f"all {len(outcomes)} checks passed ({level})")
     return 0

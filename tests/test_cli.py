@@ -62,6 +62,19 @@ def test_bad_argument_value_exits_two():
     assert proc.stdout == ""
 
 
+def test_seed_outside_64_bits_exits_two():
+    # 2^64 would alias seed 0 and -1 would alias 2^64 - 1
+    for seed in (str(1 << 64), "-1"):
+        for sub in ("sample", "ks"):
+            proc = run(sub, "--n", "50", "--count", "5", "--seed", seed, "--threads", "1")
+            assert proc.returncode == 2, (sub, seed)
+            assert "seed must be in [0, 2^64)" in proc.stderr
+            assert proc.stdout == ""
+    proc = run("sample", "--n", "50", "--count", "5", "--seed", str((1 << 64) - 1), "--threads", "1")
+    assert proc.returncode == 0
+    assert proc.stdout != run("sample", "--n", "50", "--count", "5", "--seed", "0", "--threads", "1").stdout
+
+
 def test_exact_json_payload():
     proc = run("exact", "--n", "3", "--m", "2")
     assert proc.returncode == 0

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.stats import kstwobign
 
 from hooklaw.asymptotics import limit_shape, zeta
+from hooklaw.exact import hook_distribution_via_part_counts
 from hooklaw.limitlaw import (
     LIMIT_MEAN,
     SIX_OVER_PI2,
@@ -16,6 +17,7 @@ from hooklaw.limitlaw import (
     ks_statistic,
     limit_moment,
     quantile,
+    scale_hook,
     shape_grid,
 )
 from hooklaw.partitions import Partition, conjugate, profile
@@ -24,6 +26,8 @@ from hooklaw.sampling import SamplerConfig, sample_partition, stream
 
 def test_density_at_zero_limit():
     assert density(1e-9) == pytest.approx(SIX_OVER_PI2, rel=1e-8)
+    # expm1 is exact to rounding here, so u / expm1(u) is exactly 1
+    assert density(1e-300) == density(5e-324) == SIX_OVER_PI2
     assert density(0.0) == 0.0
     assert density(-1.0) == 0.0
 
@@ -110,6 +114,25 @@ def test_ks_matches_scipy():
     ours = ks_statistic(sample.tolist()).ks_distance
     theirs = kstest(sample, lambda y: np.array([cdf(float(v)) for v in np.atleast_1d(y)])).statistic
     assert ours == pytest.approx(float(theirs), abs=1e-12)
+
+
+def _exact_sup_distance_per_atom(n):
+    # the per-atom loop that exact_sup_distance once ran, kept as its
+    # reference: the exact CDF on both sides of every atom, in floats from
+    # exact integer partial sums
+    dist = hook_distribution_via_part_counts(n)
+    acc, worst = 0, 0.0
+    for k in range(1, n + 1):
+        lo = acc / dist.total
+        acc += dist.weights.get(k, 0)
+        model = cdf(scale_hook(k, n))
+        worst = max(worst, abs(model - lo), abs(model - acc / dist.total))
+    return worst
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 12, 100, 3000])
+def test_exact_sup_distance_matches_per_atom_loop(n):
+    assert exact_sup_distance(n) == _exact_sup_distance_per_atom(n)
 
 
 def test_exact_cdf_distance_decreases_in_n():

@@ -87,7 +87,8 @@ def test_cells_row_major():
 
 def test_profile_values():
     lam = Partition((2, 1))
-    assert profile(lam, 1) == 2
+    assert profile(lam, 0) == profile(lam, 0.5) == profile(lam, 1) == 2
+    assert profile(Partition(()), 0.5) == 0
     assert profile(lam, 2) == 1
     assert profile(lam, 3) == 0
     assert profile(Partition((9,)), 1) == 1

@@ -72,6 +72,12 @@ def test_config_validation():
         SamplerConfig(n=0)
     with pytest.raises(ValueError):
         SamplerConfig(n=5, algorithm="bogus")
+    # the stream reads the seed modulo 2^64, so no seed outside one period
+    # is accepted: each would alias one inside it
+    for seed in (-1, 1 << 64, -(1 << 64)):
+        with pytest.raises(ValueError, match="seed"):
+            SamplerConfig(n=5, seed=seed)
+    assert SamplerConfig(n=5, seed=(1 << 64) - 1).seed == (1 << 64) - 1
 
 
 def test_default_algorithm_switchover():

@@ -10,6 +10,17 @@ import hooklaw
 SOURCES = sorted(Path(hooklaw.__file__).parent.glob("*.py"))
 
 
+def _callers():
+    # the code outside the package that calls it: the scripts and the
+    # benchmark, tests aside
+    root = Path(hooklaw.__file__).parents[2]
+    return [
+        path
+        for path in sorted((root / "scripts").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
+        if not path.name.startswith("test_") and path.name != "conftest.py"
+    ]
+
+
 def test_no_assert_statements():
     # invariants must raise explicitly: `python -O` strips assert statements
     found = [
@@ -74,12 +85,7 @@ def test_public_names_have_callers():
     # public method, is named outside its own definition somewhere in the
     # package, the scripts or the benchmark (tests aside), or is exported in
     # __all__; code that only tests call belongs in the tests
-    root = Path(hooklaw.__file__).parents[2]
-    callers = [
-        path
-        for path in sorted((root / "scripts").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
-        if not path.name.startswith("test_") and path.name != "conftest.py"
-    ]
+    callers = _callers()
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES + callers}
 
     def names(node):
@@ -110,3 +116,53 @@ def test_public_names_have_callers():
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert len(callers) >= 2
     assert not unused, f"public names with no caller outside their definition: {unused}"
+
+
+def test_defaulted_parameters_take_other_values():
+    # every parameter with a default, of a public function or method of the
+    # package, is passed, by keyword or by position, at some call in the
+    # package, the scripts or the benchmark (tests aside), unless the
+    # function is exported in __all__: a default no caller overrides is a
+    # constant
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES + _callers()}
+    calls = [node for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+    def called_name(call):
+        func = call.func
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+    def passes(call, name, index):
+        # a parameter at position index, or keyword-only at index None, is
+        # passed by name, by **kwargs, by *args or by enough positions
+        if any(kw.arg in (name, None) for kw in call.keywords):
+            return True
+        starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+        return index is not None and (starred or len(call.args) > index)
+
+    unused = []
+    for path in SOURCES:
+        tree = trees[path]
+        funcs = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        funcs += [
+            node
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef)
+        ]
+        for func in funcs:
+            if func.name.startswith("_") or func.name in hooklaw.__all__:
+                continue
+            positional = func.args.posonlyargs + func.args.args
+            if positional and positional[0].arg in ("self", "cls"):
+                positional = positional[1:]
+            defaulted = [
+                (arg.arg, i) for i, arg in enumerate(positional) if i >= len(positional) - len(func.args.defaults)
+            ]
+            defaulted += [
+                (arg.arg, None) for arg, default in zip(func.args.kwonlyargs, func.args.kw_defaults) if default
+            ]
+            for name, index in defaulted:
+                if not any(passes(call, name, index) for call in calls if called_name(call) == func.name):
+                    unused.append(f"{path.name}:{func.lineno} {func.name}({name}=...)")
+    assert not unused, f"defaulted parameters that no caller passes: {unused}"
