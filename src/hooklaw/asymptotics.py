@@ -1,12 +1,13 @@
 """Saddle-point asymptotics for the partition generating function.
 
 All series over j are evaluated at a real argument x = exp(-d) with an
-explicit truncation and a certified geometric/integral tail bound; the
-bound is checked on every call and a ToleranceError is raised if it cannot
-be met.  The three series (a, b and log g) share one cutoff rule and one
-summation kernel, which adds the terms in fixed-size blocks, so memory stays
-flat however many terms a small d needs.  Quantities that would overflow a
-double (anything carrying exp(n d)) are handled in the log domain.
+explicit truncation.  The three series (a, b and log g) share one cutoff
+rule and one summation kernel, _series, which adds the terms in fixed-size
+blocks, so memory stays flat however many terms a small d needs, and
+certifies the tail on every call with one integral bound for terms of at
+most j^p x^j / (1 - x)^q, raising ToleranceError if it cannot be met.
+Quantities that would overflow a double (anything carrying exp(n d)) are
+handled in the log domain.
 
 log_partition_counts gives log p(m) in floats from the first term of the
 Hardy-Ramanujan-Rademacher series, within a stated error budget.
@@ -37,9 +38,18 @@ def default_cutoff(d: float) -> int:
     return int((_CUTOFF_SCALE + 2.0 * max(0.0, math.log(1.0 / d))) / d) + 1
 
 
-def _series(d: float, term) -> tuple[float, int]:
+def _series(what: str, d: float, term, p: int, q: int) -> float:
     """sum_{j=1..J} term(j, e^(-j d)) with J = default_cutoff(d), summed in
-    blocks of _BLOCK terms; returns the sum and J."""
+    blocks of _BLOCK terms, for a term of at most j^p x^j / (1 - x)^q.
+
+    t^p e^(-dt) decreases past p/d < J, so the tail past J is at most
+    (1 - x)^-q times its integral from J, which is e^(-dJ) I_p with
+
+        I_0 = 1/d,  I_k = (J^k + k I_(k-1)) / d   (by parts),
+
+    that is e^(-dJ) sum_{i=0..p} p!/(p-i)! J^(p-i) / d^(i+1); a
+    ToleranceError names `what` unless this is within _TAIL_RTOL of the sum.
+    """
     if d <= 0:
         raise ValueError(f"saddle parameter must be positive, got {d}")
     cutoff = default_cutoff(d)
@@ -47,31 +57,24 @@ def _series(d: float, term) -> tuple[float, int]:
     for start in range(1, cutoff + 1, _BLOCK):
         j = np.arange(start, min(start + _BLOCK, cutoff + 1), dtype=float)
         value += float(np.sum(term(j, np.exp(-j * d))))
-    return value, cutoff
-
-
-def _check_tail(tail: float, value: float, what: str) -> None:
+    tail = 1.0 / d
+    for k in range(1, p + 1):
+        tail = (cutoff**k + k * tail) / d
+    tail *= math.exp(-d * cutoff) / (-math.expm1(-d)) ** q
     if not tail <= _TAIL_RTOL * abs(value):
         raise ToleranceError(
             f"{what}: certified tail bound {tail:.3e} exceeds "
             f"{_TAIL_RTOL:.0e} of the partial sum {value:.6e}"
         )
+    return value
 
 
 def saddle_a(d: float) -> float:
     """The logarithmic-derivative sum a(e^(-d)) = sum_j j x^j / (1 - x^j).
 
-    Strictly decreasing in d.  The tail beyond the cutoff is bounded by
-    the integral of t x^t divided by (1 - x) and certified below 1e-12
-    relative.
+    Strictly decreasing in d.
     """
-    value, cutoff = _series(d, lambda j, x: j * x / (1.0 - x))
-    # integral bound: sum_{j>J} j x^j <= int_J^inf t e^(-dt) dt, valid since
-    # t e^(-dt) decreases for t > 1/d
-    tail = math.exp(-d * cutoff) * (cutoff / d + 1.0 / (d * d))
-    tail /= -math.expm1(-d)
-    _check_tail(tail, value, "saddle_a")
-    return value
+    return _series("saddle_a", d, lambda j, x: j * x / (1.0 - x), 1, 1)
 
 
 def saddle_b(d: float) -> float:
@@ -80,24 +83,16 @@ def saddle_b(d: float) -> float:
     Equals minus the derivative of saddle_a with respect to d, which the
     Newton refinement in solve_saddle relies on.
     """
-    value, cutoff = _series(d, lambda j, x: j * j * x / ((1.0 - x) * (1.0 - x)))
-    # integral bound on sum_{j>J} j^2 x^j, times the (1 - x)^-2 that bounds
-    # 1 / (1 - x^j)^2
-    tail = math.exp(-d * cutoff) * (
-        cutoff * cutoff / d + 2.0 * cutoff / (d * d) + 2.0 / (d**3)
-    )
-    tail /= (-math.expm1(-d)) ** 2
-    _check_tail(tail, value, "saddle_b")
-    return value
+    return _series("saddle_b", d, lambda j, x: j * j * x / ((1.0 - x) * (1.0 - x)), 2, 2)
 
 
 @dataclass(frozen=True)
 class SaddleSolution:
-    """Solution of a(e^(-d)) = n with the associated curvature value."""
+    """Solution of a(e^(-d)) = n with the associated curvature value and the
+    residual |a(e^(-d)) - n|."""
 
     n: int
     d_n: float
-    a_val: float
     b_val: float
     residual: float
 
@@ -121,11 +116,10 @@ def solve_saddle(n: int) -> SaddleSolution:
         d += step
         if abs(step) <= _SADDLE_RTOL * d:
             break
-    a_val = saddle_a(d)
     b_val = saddle_b(d)
     if not (d > 0 and b_val > 0):
         raise RuntimeError(f"saddle at n={n} left the domain: d={d}, b={b_val}")
-    return SaddleSolution(n=n, d_n=d, a_val=a_val, b_val=b_val, residual=abs(a_val - n))
+    return SaddleSolution(n=n, d_n=d, b_val=b_val, residual=abs(saddle_a(d) - n))
 
 
 def d_n_expansion(n: int) -> float:
@@ -193,13 +187,9 @@ def log_partition_error(n: int) -> float:
 
 def log_euler_product(d: float) -> float:
     """log of the partition generating function at x = e^(-d):
-    -sum_j log(1 - x^j), truncated with a certified tail."""
-    value, cutoff = _series(d, lambda j, x: -np.log1p(-x))
-    # -log(1-y) <= y/(1-y); geometric sum of x^j beyond the cutoff
-    xj = math.exp(-d * (cutoff + 1))
-    tail = xj / ((-math.expm1(-d)) * (1.0 - xj))
-    _check_tail(tail, value, "log_euler_product")
-    return value
+    -sum_j log(1 - x^j), truncated with a certified tail; its terms are at
+    most x^j / (1 - x), since -log(1 - y) <= y / (1 - y)."""
+    return _series("log_euler_product", d, lambda j, x: -np.log1p(-x), 0, 1)
 
 
 def log_hayman_pn_estimate(n: int) -> float:

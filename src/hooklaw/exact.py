@@ -235,11 +235,17 @@ class ExactHookDistribution:
     """Integer-weighted law of the hook length at fixed n.
 
     weights[h] counts the (partition, cell) pairs with hook length h; the
-    total mass is n * p(n).
+    total mass must be n * p(n), and a law built with any other raises
+    RuntimeError.
     """
 
     n: int
     weights: dict[int, int]
+
+    def __post_init__(self) -> None:
+        mass = sum(self.weights.values())
+        if mass != self.total:
+            raise RuntimeError(f"hook law at n={self.n} has mass {mass} != n p(n) = {self.total}")
 
     @property
     def total(self) -> int:
@@ -252,17 +258,9 @@ class ExactHookDistribution:
         return Fraction(total, self.total)
 
 
-def _check_mass(dist: ExactHookDistribution) -> None:
-    mass = sum(dist.weights.values())
-    if mass != dist.total:
-        raise RuntimeError(f"hook law at n={dist.n} has mass {mass} != n p(n) = {dist.total}")
-
-
 def exact_hook_distribution(n: int) -> ExactHookDistribution:
     """Hook-length law by brute force over every (partition, cell) pair."""
-    dist = ExactHookDistribution(n, dict(_tally(n)[0]))
-    _check_mass(dist)
-    return dist
+    return ExactHookDistribution(n, dict(_tally(n)[0]))
 
 
 def hook_distribution_via_part_counts(n: int) -> ExactHookDistribution:
@@ -277,6 +275,4 @@ def hook_distribution_via_part_counts(n: int) -> ExactHookDistribution:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     p = partition_counts(n)
-    dist = ExactHookDistribution(n, {k: k * sum(p[n - k :: -k]) for k in range(1, n + 1)})
-    _check_mass(dist)
-    return dist
+    return ExactHookDistribution(n, {k: k * sum(p[n - k :: -k]) for k in range(1, n + 1)})

@@ -93,9 +93,8 @@ def default_algorithm(n: int) -> str:
 @dataclass(frozen=True)
 class SamplerConfig:
     """Target size, algorithm choice, and the 64-bit stream seed, in
-    [0, 2^64): stream reads the seed modulo 2^64, so a seed past that range
-    would repeat one inside it.  The algorithm defaults to
-    default_algorithm(n)."""
+    [0, 2^64), the range stream accepts; a seed outside it raises
+    ValueError here.  The algorithm defaults to default_algorithm(n)."""
 
     n: int
     algorithm: str | None = None
@@ -128,8 +127,9 @@ class HookObservation:
 
 
 def stream(seed: int, trial: int) -> np.random.Generator:
-    """The counter-based stream for one trial: Philox keyed by (seed, trial)."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, trial & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    """The counter-based stream for one trial: Philox keyed by (seed, trial),
+    each in [0, 2^64); numpy raises OverflowError for a key outside it."""
+    key = np.array([seed, trial], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

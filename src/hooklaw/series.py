@@ -101,7 +101,6 @@ def euler_series(degree: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(_unpack(c, width, degree + 1)))
 
 
-@lru_cache(maxsize=32)
 def f_m_series(m: int, degree: int) -> TruncatedSeries:
     """The series sum_j j^m x^j / (1 - x^j); coefficient of x^n is the
     divisor power sum sigma_m(n) = sum of d^m over divisors d of n, and

@@ -1,8 +1,11 @@
+import hashlib
 import json
 import subprocess
 import sys
 
-from hooklaw import exact
+import pytest
+
+from hooklaw import cli, exact
 
 CMD = [sys.executable, "-m", "hooklaw"]
 
@@ -252,3 +255,34 @@ def test_version_flag():
     proc = run("--version")
     assert proc.returncode == 0
     assert "hooklaw" in proc.stdout
+
+
+# The byte contract: the full stdout sha256 of outputs that do not depend on
+# the last bits of a float library.  They print integers, fractions and
+# values of correctly rounded arithmetic and sqrt, and the exact sampler
+# decides in floats only outside a stated margin, so a last-bit change in
+# its tables flips a draw only with chance near 2^-52 per step.  `asym`,
+# `ks`, `limit` and `--algo fristedt` print or decide on raw values of exp,
+# log or expm1, which another libm or numpy build may round differently,
+# so they stay manual checks.  The JSON outputs embed the manifest, whose
+# version field a release changes.
+BYTE_CONTRACT = [
+    (("exact", "--n", "20", "--m", "4"),
+     "1ba3fed5babecaf791b706b61d368cdf12fbad1c46be8994fcb33b190dbd5c96"),
+    (("gf-check", "--n", "2000", "--m", "1"),
+     "2cf0d0973284f830644ef02d78a51f8521d2fa9965b85b7be5dc1307915d3bf3"),
+    (("sample", "--n", "3000", "--count", "300", "--seed", "42", "--threads", "1"),
+     "185f52256fb6e09ba0d533245cf17fc90ddb9cb643408c40bb9a1c6ab076348b"),
+    (("sample", "--n", "3000", "--count", "300", "--seed", "42", "--threads", "2"),
+     "185f52256fb6e09ba0d533245cf17fc90ddb9cb643408c40bb9a1c6ab076348b"),
+    (("sample", "--n", "100000", "--count", "20", "--seed", "7", "--threads", "1"),
+     "3695b8bffc50d6bf5d36cf7ea802429aeb8230aab7495d8f814d2acc1d941a18"),
+    (("sample", "--n", "500", "--count", "200", "--seed", "3", "--hist", "10", "--threads", "2"),
+     "0391cf091f0c18b4e30a36e1a8a5cc66c4b50e4c1a45f15e49a9104e1d0629b2"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", BYTE_CONTRACT, ids=[" ".join(a) for a, _ in BYTE_CONTRACT])
+def test_stdout_bytes_are_pinned(capsys, argv, digest):
+    assert cli.dispatch(list(argv)) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

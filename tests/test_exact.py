@@ -10,6 +10,7 @@ import pytest
 from hooklaw import cli, exact
 from hooklaw.errors import ResourceError
 from hooklaw.exact import (
+    ExactHookDistribution,
     exact_hook_distribution,
     hook_distribution_via_part_counts,
     iter_partitions,
@@ -221,6 +222,14 @@ def test_exact_hook_distribution_small():
     assert exact_hook_distribution(1).weights == {1: 1}
     assert exact_hook_distribution(2).weights == {1: 2, 2: 2}
     assert exact_hook_distribution(3).weights == {1: 4, 2: 2, 3: 3}
+
+
+def test_hook_distribution_checks_its_mass():
+    # every law is built through the constructor, so the mass n p(n) is
+    # checked wherever one is made: p(3) = 3 gives a mass of 9, not 1
+    with pytest.raises(RuntimeError, match="mass 1 != n p"):
+        ExactHookDistribution(3, {1: 1})
+    assert ExactHookDistribution(3, {1: 4, 2: 2, 3: 3}).total == 9
 
 
 def test_hook_distribution_mass_and_support():

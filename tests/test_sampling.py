@@ -72,8 +72,8 @@ def test_config_validation():
         SamplerConfig(n=0)
     with pytest.raises(ValueError):
         SamplerConfig(n=5, algorithm="bogus")
-    # the stream reads the seed modulo 2^64, so no seed outside one period
-    # is accepted: each would alias one inside it
+    # the stream's key holds 64 bits of seed: any other seed is a usage
+    # error, which the CLI reports with exit 2
     for seed in (-1, 1 << 64, -(1 << 64)):
         with pytest.raises(ValueError, match="seed"):
             SamplerConfig(n=5, seed=seed)
@@ -202,6 +202,16 @@ def test_cell_index_map():
     assert cell_from_index(lam, 3) == Cell(2, 1)
     with pytest.raises(ValueError):
         cell_from_index(lam, 4)
+
+
+def test_stream_rejects_keys_outside_64_bits():
+    # reduced modulo 2^64, stream(2^64, 0) would give the bytes of stream(0, 0)
+    top = (1 << 64) - 1
+    for seed, trial in ((1 << 64, 0), (0, 1 << 64), (-1, 0), (0, -1)):
+        with pytest.raises(OverflowError):
+            stream(seed, trial)
+    assert stream(top, top).bytes(8) != stream(0, 0).bytes(8)
+    assert stream(0, 0).bytes(8).hex() == "9bd8e40864baf402"
 
 
 def test_sample_cell_single():
