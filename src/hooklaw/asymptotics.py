@@ -10,7 +10,8 @@ Quantities that would overflow a double (anything carrying exp(n d)) are
 handled in the log domain.
 
 log_partition_counts gives log p(m) in floats from the first term of the
-Hardy-Ramanujan-Rademacher series, within a stated error budget.
+Hardy-Ramanujan-Rademacher series, within a stated error budget, evaluated
+in slices of the same fixed size, so its only n-length array is its output.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ _TAIL_RTOL = 1e-12
 # the d^2 cancels the growth of b's relative tail bound, which scales like
 # d^-2 and would pass 1e-12 near d ~ 3e-3 (n ~ 2e5) with 46/d alone
 _CUTOFF_SCALE = 46.0
-# terms per block of the series kernel: bounds its arrays at any n
+# terms per block of the series kernel, and values per slice of
+# log_partition_counts: bounds their arrays at any n
 _BLOCK = 1 << 14
 # Newton steps stop once they move d by less than this fraction of d
 _SADDLE_RTOL = 1e-10
@@ -170,12 +172,14 @@ def log_partition_counts(n: int) -> np.ndarray:
     log_p[: min(n, RADEMACHER_FROM - 1) + 1] = [
         math.log(v) for v in partition_counts(min(n, RADEMACHER_FROM - 1))
     ]
-    m = np.arange(RADEMACHER_FROM, n + 1, dtype=float)
-    x = math.pi * np.sqrt(2 * m / 3 - 1 / 36)
-    log_p[RADEMACHER_FROM:] = (
-        x - math.log(2) + np.log(x - 1) - 3 * np.log(np.sqrt(m - 1 / 24))
-        - math.log(2 * math.pi * math.sqrt(2))
-    )
+    # in slices of _BLOCK values, so that no temporary grows with n
+    for lo in range(RADEMACHER_FROM, n + 1, _BLOCK):
+        m = np.arange(lo, min(lo + _BLOCK, n + 1), dtype=float)
+        x = math.pi * np.sqrt(2 * m / 3 - 1 / 36)
+        log_p[lo : lo + len(m)] = (
+            x - math.log(2) + np.log(x - 1) - 3 * np.log(np.sqrt(m - 1 / 24))
+            - math.log(2 * math.pi * math.sqrt(2))
+        )
     return log_p
 
 

@@ -3,9 +3,10 @@
 The limit of pi * Z_n / sqrt(6 n) has density 6u / (pi^2 (e^u - 1)) on
 (0, inf).  The CDF is evaluated through the exponential expansion of
 1/(e^u - 1), integrated term by term, because the Kolmogorov-Smirnov
-statistic evaluates it tens of thousands of times per report; adaptive
-quadrature of the density is kept in the tests as the independent oracle
-for that series.
+statistic evaluates it tens of thousands of times per report; cdf_values
+takes all of a report's points at once, in numpy rows grouped by their
+number of terms.  Adaptive quadrature of the density is kept in the tests
+as the independent oracle for that series.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from .exact import hook_distribution_via_part_counts
 SIX_OVER_PI2 = 6.0 / math.pi**2
 LIMIT_MEAN = 12.0 * zeta(3) / math.pi**2  # ~ 1.4616
 _QUANTILE_RTOL = 1e-12
+# terms per numpy call of cdf_values
+_CDF_TERMS = 1 << 16
 # ends of the log-spaced shape grid; s(t) spans ~2.2 down to ~3e-5 here
 SHAPE_LO, SHAPE_HI = 0.05, 8.0
 
@@ -47,29 +50,52 @@ def density(u: float) -> float:
 
 
 def cdf(y: float) -> float:
-    """(6/pi^2) * integral of u/(e^u - 1) from 0 to y.
+    """(6/pi^2) * integral of u/(e^u - 1) from 0 to y: cdf_values at one
+    point."""
+    return float(cdf_values([y])[0])
+
+
+def cdf_values(ys: Sequence[float]) -> np.ndarray:
+    """cdf at each of ys, as a float64 array.
 
     Expanding 1/(e^u - 1) into exp(-k u) and integrating term by term gives
     (6/pi^2) * sum_k [1/k^2 - e^{-ky}(y/k + 1/k^2)]; with the closed value
     of sum 1/k^2 only the exponentially decaying part needs truncation, at
-    k ~ 40/y with a certified geometric tail below 1e-12.  Tiny arguments
-    (y < 0.01) use the alternating Taylor polynomial of the integrand
-    instead, whose next omitted term is already below 1e-12 there.
+    kmax = int(40/y) + 10 with a certified geometric tail below 1e-12.  The
+    points are grouped by kmax, and each point's terms are one row of a
+    numpy sum, so its value does not depend on the other points.  Tiny
+    arguments (y < 0.01) use the alternating Taylor polynomial of the
+    integrand instead, whose next omitted term is already below 1e-12
+    there.
     """
-    if y <= 0.0:
-        return 0.0
-    if y < 0.01:
-        return SIX_OVER_PI2 * (y - y * y / 4.0 + y**3 / 36.0 - y**5 / 3600.0)
-    kmax = int(40.0 / y) + 10
-    k = np.arange(1.0, kmax + 1.0)
-    remainder = float(np.sum(np.exp(-k * y) * (y / k + 1.0 / (k * k))))
-    # geometric tail certificate
-    knext = kmax + 1.0
-    tail = math.exp(-knext * y) * (y / knext + 1.0 / (knext * knext))
-    tail /= -math.expm1(-y)
-    if not tail <= 1e-12:
-        raise ToleranceError(f"cdf tail bound {tail:.3e} not below 1e-12 at y={y}")
-    return 1.0 - SIX_OVER_PI2 * remainder
+    y = np.asarray(ys, dtype=float)
+    out = np.zeros(y.shape)
+    # kmax -> the indices of its points and their values
+    groups: dict[int, tuple[list[int], list[float]]] = {}
+    for i, v in enumerate(y.tolist()):
+        if v >= 0.01:
+            rows, vals = groups.setdefault(int(40.0 / v) + 10, ([], []))
+            rows.append(i)
+            vals.append(v)
+        elif v > 0.0:
+            out[i] = SIX_OVER_PI2 * (v - v * v / 4.0 + v**3 / 36.0 - v**5 / 3600.0)
+        elif v != v:
+            raise ValueError("cdf of NaN")
+    for kmax, (rows, vals) in groups.items():
+        # geometric tail certificate; at a fixed kmax the bound falls as y
+        # grows, so the group's least y has the largest
+        v, knext = min(vals), kmax + 1.0
+        tail = math.exp(-knext * v) * (v / knext + 1.0 / (knext * knext)) / -math.expm1(-v)
+        if not tail <= 1e-12:
+            raise ToleranceError(f"cdf tail bound {tail:.3e} not below 1e-12 at y={v}")
+        k = np.arange(1.0, kmax + 1.0)
+        # at most _CDF_TERMS terms per numpy call
+        step = max(1, _CDF_TERMS // kmax)
+        for at in range(0, len(rows), step):
+            v = np.array(vals[at : at + step])[:, None]
+            remainder = np.sum(np.exp(-k * v) * (v / k + 1.0 / (k * k)), axis=1)
+            out[rows[at : at + step]] = 1.0 - SIX_OVER_PI2 * remainder
+    return out
 
 
 def scale_hook(hook: int, n: int) -> float:
@@ -83,8 +109,10 @@ def exact_sup_distance(n: int) -> float:
     table, so the figure carries no sampling noise: it is the lattice bias
     alone."""
     dist = hook_distribution_via_part_counts(n)
-    # the law's CDF from exact integer partial sums, each rounded once
-    upto = [acc / dist.total for acc in accumulate(dist.weights.get(k, 0) for k in range(1, n + 1))]
+    # the law's CDF from exact integer partial sums, each rounded once; the
+    # total n p(n) is a big-integer product, formed once
+    total = dist.total
+    upto = [acc / total for acc in accumulate(dist.weights.get(k, 0) for k in range(1, n + 1))]
     return _sup_gap([scale_hook(k, n) for k in range(1, n + 1)], [0.0] + upto[:-1], upto)[1]
 
 
@@ -93,7 +121,7 @@ def _sup_gap(values: Sequence[float], below: Sequence[float], upto: Sequence[flo
     sides of each of its steps: the steps at ascending values, with the
     step function's value below[i] just left of values[i] and upto[i] at
     it.  Returns the index of the largest gap and that gap."""
-    model = np.array([cdf(v) for v in values])
+    model = cdf_values(values)
     gaps = np.maximum(np.abs(model - upto), np.abs(model - below))
     at = int(np.argmax(gaps))
     return at, float(gaps[at])

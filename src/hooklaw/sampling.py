@@ -18,7 +18,9 @@ approximations:
   exact; such an undecided acceptance reads the two counts p(m) and
   p(m - j*d) at a point from exact.partition_count.  The uniforms come
   from one Mersenne Twister per draw, seeded from 128 bits of the trial's
-  stream.
+  stream.  observe_hook and sample_hooks compute those bits, and the
+  trial's cell index, from the stream's Philox words in Python integers
+  (_trial_keys), so the exact route never loads numpy.random.
 
 * ``fristedt-rejection`` — independent geometric multiplicities l_j with
   success parameter 1 - w^j at w = exp(-pi / sqrt(6 n)) (Fristedt 1993),
@@ -57,7 +59,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -133,6 +135,61 @@ def stream(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+# Philox4x64-10's multipliers and key increments (Salmon et al., "Parallel
+# random numbers: as easy as 1, 2, 3", SC 2011)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_U32, _U64 = (1 << 32) - 1, (1 << 64) - 1
+
+
+def _philox(k0: int, k1: int, c: int) -> tuple[int, int, int, int]:
+    """The four 64-bit words of Philox4x64-10 keyed by (k0, k1) at the
+    counter (c, 0, 0, 0)."""
+    (m0, m1), (w0, w1) = _PHILOX_M, _PHILOX_W
+    x0, x1, x2, x3 = c, 0, 0, 0
+    for _ in range(10):
+        p0, p1 = m0 * x0, m1 * x2
+        x0, x1, x2, x3 = (p1 >> 64) ^ x1 ^ k0, p1 & _U64, (p0 >> 64) ^ x3 ^ k1, p0 & _U64
+        k0, k1 = (k0 + w0) & _U64, (k1 + w1) & _U64
+    return x0, x1, x2, x3
+
+
+def _words(seed: int, trial: int) -> Iterator[int]:
+    """The 64-bit words of stream(seed, trial), in order: numpy's Philox
+    makes its first block of four at counter 1, since it counts up before
+    it generates."""
+    block = 1
+    while True:
+        yield from _philox(seed, trial, block)
+        block += 1
+
+
+def _trial_keys(seed: int, trials: range, n: int) -> Iterator[tuple[int, int]]:
+    """(_draw_seed(rng), _cell_index(rng, n)) with rng = stream(seed, trial),
+    for each trial in trials, from the stream's words in Python integers,
+    so numpy.random is not loaded.  bytes(16) is words 0 and 1, and
+    integers(1, n + 1) reads on from word 2 by Lemire's method: a uniform
+    x of b bits gives 1 + (x n >> b), unless the low b bits of x n are
+    below (2^b - n) mod n, and then the next x is tried.  For n <= 2^32,
+    b = 32 and x is a uint32 half of a word, low half first (at n = 2^32
+    this takes x as it is); past 2^32, b = 64 and x is a whole word.  A key
+    outside [0, 2^64) raises OverflowError, as in stream."""
+    bits = 64 if n > 1 << 32 else 32
+    mask = (1 << bits) - 1
+    threshold = ((1 << bits) - n) % n
+    for trial in trials:
+        if not (0 <= seed <= _U64 and 0 <= trial <= _U64):
+            raise OverflowError(f"Philox key ({seed}, {trial}) outside [0, 2^64)")
+        words = _words(seed, trial)
+        draw = next(words) | next(words) << 64
+        if bits == 32:
+            words = (half for w in words for half in (w & _U32, w >> 32))
+        prod = next(words) * n
+        while prod & mask < threshold:
+            prod = next(words) * n
+        yield draw, 1 + (prod >> bits)
+
+
 class _ExactRecursiveSampler:
     """Uniform sampler, shared across trials at fixed n.
 
@@ -172,7 +229,9 @@ class _ExactRecursiveSampler:
     output does not depend on which one answered.
 
     The sampler keeps two float64 arrays over 0..n, log p and rho_m: 16
-    bytes per unit of n.  It is not written to after construction.
+    bytes per unit of n.  It builds them without n-length temporaries, so
+    construction peaks near those 16 bytes, and it is not written to after
+    construction.
 
     draw_block makes the draws of a block of seeds in lockstep, one lane
     per seed.  A lane's Mersenne Twister is seeded as draw seeds it, and
@@ -244,8 +303,11 @@ class _ExactRecursiveSampler:
             raise ValueError(f"n={n} past the range where the margin covers log p's error")
         self._count = partition_count if ptable is None else ptable.__getitem__
         self._lp = lp = asymptotics.log_partition_counts(n)
+        # formed in place, so that construction needs no n-length temporary
         rho = np.zeros(n + 1)
-        rho[1:] = np.exp(lp[:-1] - lp[1:] + self._MARGIN)
+        np.subtract(lp[:-1], lp[1:], out=rho[1:])
+        rho[1:] += self._MARGIN
+        np.exp(rho[1:], out=rho[1:])
         k = min(n, self._SMALL)
         m = np.arange(2, k + 1)[:, None]
         q = np.arange(1, k + 1)
@@ -347,7 +409,7 @@ class _ExactRecursiveSampler:
             m -= d * j
         return ds + [1] * m, js + [1] * m
 
-    def draw_block(self, seeds: list[int]) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    def draw_block(self, seeds: Sequence[int]) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         """The draws from the given _draw_seed values, made in lockstep, one
         lane per seed: yields (position in seeds, d, j) as each lane
         finishes, in no fixed order, with d and j int64 arrays of its pairs
@@ -648,11 +710,14 @@ def _observation(n: int, hook: int) -> HookObservation:
 
 
 def observe_hook(cfg: SamplerConfig, trial: int) -> HookObservation:
-    """Run the two-step experiment for one trial index."""
-    # the sampler, and on first use its tables, comes before the stream:
-    # building the n = 1e5 tables after the stream's allocation raised the
-    # process's peak RSS by 1.4 MiB (Linux, glibc malloc)
+    """Run the two-step experiment for one trial index.  The exact route
+    reads the trial's draw seed and cell index from _trial_keys, the values
+    that draw and sample_cell read from its stream."""
     sampler = _sampler_for(cfg.n, cfg.algorithm)
+    if cfg.algorithm == EXACT_RECURSIVE:
+        [(seed, u)] = _trial_keys(cfg.seed, range(trial, trial + 1), cfg.n)
+        p = _partition(*sampler._finish(seed, 0, cfg.n))
+        return _observation(cfg.n, hook_length(p, cell_from_index(p, u)))
     rng = stream(cfg.seed, trial)
     p = sampler.draw(rng)
     return _observation(cfg.n, hook_length(p, sample_cell(p, rng)))
@@ -660,10 +725,9 @@ def observe_hook(cfg: SamplerConfig, trial: int) -> HookObservation:
 
 def _observe_trials(cfg: SamplerConfig, trials: range) -> list[HookObservation]:
     """observe_hook over a range of trials.  The exact route draws them in
-    blocks of at most _BLOCK trials in lockstep.  A trial's stream gives
-    its draw seed and then its cell index, as in observe_hook, so both are
-    read before the draw and the stream is dropped; each lane's pairs are
-    dropped once its hook is taken."""
+    blocks of at most _BLOCK trials in lockstep, from the draw seeds and
+    cell indices of _trial_keys, as observe_hook does; each lane's pairs
+    are dropped once its hook is taken."""
     if cfg.algorithm != EXACT_RECURSIVE:
         return [observe_hook(cfg, trial) for trial in trials]
     sampler = _sampler_for(cfg.n, cfg.algorithm)
@@ -671,11 +735,7 @@ def _observe_trials(cfg: SamplerConfig, trials: range) -> list[HookObservation]:
     blocks = math.ceil(len(trials) / _BLOCK)
     for b in range(blocks):
         lo, hi = len(trials) * b // blocks, len(trials) * (b + 1) // blocks
-        seeds, cells = [], []
-        for trial in trials[lo:hi]:
-            rng = stream(cfg.seed, trial)
-            seeds.append(_draw_seed(rng))
-            cells.append(_cell_index(rng, cfg.n))
+        seeds, cells = zip(*_trial_keys(cfg.seed, trials[lo:hi], cfg.n))
         done, ds, js, pairs = [], [], [], 0
         for finished, (i, d, j) in enumerate(sampler.draw_block(seeds), start=1):
             done.append(i)

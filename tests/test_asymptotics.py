@@ -241,6 +241,20 @@ def test_log_partition_counts_within_budget_to_1e5():
         assert abs(log_p[m] - math.log(table[m])) <= asymptotics.log_partition_error(m), m
 
 
+@pytest.mark.parametrize("n", [999, 1000 + 2**14, 200_000])
+def test_log_partition_counts_slices_are_the_one_shot_table(n):
+    # the Rademacher values, computed in slices of 2^14, are bit for bit
+    # the one-shot expression over all of 1000..n: none, exactly one slice,
+    # and a partial last slice
+    m = np.arange(1000, n + 1, dtype=float)
+    x = math.pi * np.sqrt(2 * m / 3 - 1 / 36)
+    whole = (x - math.log(2) + np.log(x - 1) - 3 * np.log(np.sqrt(m - 1 / 24))
+             - math.log(2 * math.pi * math.sqrt(2)))
+    log_p = asymptotics.log_partition_counts(n)
+    assert len(log_p) == n + 1
+    assert np.array_equal(log_p[1000:], whole)
+
+
 def test_log_partition_float_error_within_budget_to_1_3e6():
     # past the exact table, the float evaluation against the Rademacher
     # first term in 40-digit arithmetic; the omitted terms are below 1e-17

@@ -169,6 +169,24 @@ def test_import_loads_no_process_pool():
     assert proc.stdout.split() == ["[]"]
 
 
+@pytest.mark.parametrize("algo, loaded", [("exact", "False"), ("fristedt", "True")])
+def test_exact_route_commands_load_no_numpy_random(algo, loaded):
+    # the exact route reads each trial's keys in Python integers, so a
+    # `sample` or `ks` run on it never imports numpy.random; the Fristedt
+    # run shows that the probe sees the import
+    code = (
+        "import contextlib, io, sys\n"
+        "from hooklaw import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for cmd, n in (('sample', '3000'), ('ks', '1000')):\n"
+        f"        cli.dispatch([cmd, '--n', n, '--count', '50', '--threads', '1', '--algo', '{algo}'])\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [loaded]
+
+
 def test_shape_csv():
     proc = run("shape", "--points", "10")
     lines = proc.stdout.strip().split("\n")

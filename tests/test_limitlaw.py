@@ -6,12 +6,14 @@ from scipy.integrate import quad
 from scipy.stats import kstwobign
 
 from hooklaw.asymptotics import limit_shape, zeta
+from hooklaw.errors import ToleranceError
 from hooklaw.exact import hook_distribution_via_part_counts
 from hooklaw.limitlaw import (
     LIMIT_MEAN,
     SIX_OVER_PI2,
     GofReport,
     cdf,
+    cdf_values,
     density,
     exact_sup_distance,
     ks_statistic,
@@ -63,6 +65,33 @@ def test_cdf_monotone_on_grid():
     ys = np.linspace(1e-3, 25.0, 1000)
     vals = [cdf(float(y)) for y in ys]
     assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+def _scalar_cdf(y):
+    # the series of cdf, one point at a time, as cdf once evaluated it
+    if y <= 0.0:
+        return 0.0
+    if y < 0.01:
+        return SIX_OVER_PI2 * (y - y * y / 4.0 + y**3 / 36.0 - y**5 / 3600.0)
+    k = np.arange(1.0, int(40.0 / y) + 11.0)
+    return 1.0 - SIX_OVER_PI2 * float(np.sum(np.exp(-k * y) * (y / k + 1.0 / (k * k))))
+
+
+@pytest.mark.parametrize("n", [1000, 10_000])
+def test_cdf_values_are_the_scalar_series(n):
+    # bit for bit at every atom of the scaled hook law, and at the branch
+    # edges; each point sums its own row
+    ys = [scale_hook(k, n) for k in range(1, n + 1)]
+    ys += [-1.0, 0.0, 5e-324, 0.00999, 0.01, 40.0, 40.5, 1e6]
+    assert cdf_values(ys).tolist() == [_scalar_cdf(y) for y in ys]
+    assert [cdf(y) for y in ys[::97]] == [_scalar_cdf(y) for y in ys[::97]]
+
+
+def test_cdf_values_reject_nan_and_an_uncertified_tail():
+    with pytest.raises(ValueError):
+        cdf_values([1.0, math.nan])
+    with pytest.raises(ToleranceError):
+        cdf(math.inf)
 
 
 def test_limit_moments():

@@ -1,6 +1,9 @@
 import copy
 import math
 import random
+import subprocess
+import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -17,11 +20,14 @@ from hooklaw.sampling import (
     FRISTEDT_REJECTION,
     SamplerConfig,
     _ExactRecursiveSampler,
+    _cell_index,
     _draw_seed,
     _FristedtSampler,
     _pair_j,
     _pairs_hooks,
     _partition,
+    _philox,
+    _trial_keys,
     cell_from_index,
     default_algorithm,
     make_sampler,
@@ -214,6 +220,63 @@ def test_stream_rejects_keys_outside_64_bits():
     assert stream(0, 0).bytes(8).hex() == "9bd8e40864baf402"
 
 
+# n of every branch of integers(1, n + 1): no read at 1; 32-bit Lemire
+# rejection, near half the time at 2^31 + 1 and a threshold of 1 at
+# 2^32 - 1; one uint32 as it is at 2^32; 64-bit Lemire past 2^32
+KEY_NS = [1, 3, 100_000, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 10**10]
+
+
+def _stream_keys(seed, trials, n):
+    out = []
+    for trial in trials:
+        rng = stream(seed, trial)
+        out.append((_draw_seed(rng), _cell_index(rng, n)))
+    return out
+
+
+@pytest.mark.parametrize("n", KEY_NS)
+def test_trial_keys_equal_the_stream(n):
+    # the draw seed and cell index that the exact route reads from Python
+    # integers are those that stream() gives, on edge and random keys
+    for seed in (0, 1, (1 << 64) - 1):
+        assert list(_trial_keys(seed, range(101), n)) == _stream_keys(seed, range(101), n), seed
+    rand = random.Random(n)
+    for _ in range(200):
+        seed, trial = rand.getrandbits(64), rand.getrandbits(rand.choice((8, 32, 64)))
+        assert list(_trial_keys(seed, range(trial, trial + 1), n)) == _stream_keys(seed, [trial], n)
+    if n == 2**31 + 1:
+        # the rejection loop runs, and past the first block of words: a
+        # trial rejects all four uint32 halves of words 2 and 3 about one
+        # time in 16
+        threshold = ((1 << 32) - n) % n
+        rejected = [[(h * n) & 0xFFFFFFFF < threshold for w in _philox(0, t, 1)[2:]
+                     for h in (w & 0xFFFFFFFF, w >> 32)] for t in range(101)]
+        assert any(r[0] for r in rejected) and any(all(r) for r in rejected)
+
+
+def test_trial_keys_reject_keys_outside_64_bits():
+    for seed, trial in ((1 << 64, 0), (0, 1 << 64), (-1, 0), (0, -1)):
+        with pytest.raises(OverflowError):
+            list(_trial_keys(seed, range(trial, trial + 1), 100))
+
+
+def test_exact_route_loads_no_numpy_random():
+    # sample_hooks and observe_hook on the exact route read their keys in
+    # Python integers; Fristedt draws from stream() and loads numpy.random
+    code = (
+        "import sys\n"
+        "from hooklaw.sampling import SamplerConfig, observe_hook, sample_hooks\n"
+        "for algo in ('exact-recursive', 'fristedt-rejection'):\n"
+        "    cfg = SamplerConfig(300, algo, 5)\n"
+        "    sample_hooks(cfg, 20, threads=1)\n"
+        "    observe_hook(cfg, 3)\n"
+        "    print('numpy.random' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
+
+
 def test_sample_cell_single():
     rng = stream(0, 0)
     assert sample_cell(Partition((1,)), rng) == Cell(1, 1)
@@ -403,6 +466,29 @@ def test_envelope_bounds_every_step():
         assert p[k] ** 2 > p[k - 1] * p[k + 1], k
     for s in range(26):
         assert p[s] * p[129] ** (26 - s) <= p[26] * p[128] ** (26 - s), s
+
+
+def test_sampler_rho_is_the_one_shot_table():
+    # rho formed in place is, bit for bit, the one-shot expression past 128
+    for n in (200, 20_000):
+        sampler = _ExactRecursiveSampler(n)
+        lp = asymptotics.log_partition_counts(n)
+        assert np.array_equal(sampler._rho[129:], np.exp(lp[:-1] - lp[1:] + 1e-9)[128:])
+
+
+def test_sampler_tables_need_no_n_length_temporaries():
+    # construction holds the 16 bytes per unit of n that it keeps, and
+    # slices of 2^14 values; one-shot expressions peaked near 48 bytes
+    n = 10**6
+    exact.partition_counts(999)
+    tracemalloc.start()
+    try:
+        sampler = _ExactRecursiveSampler(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sampler._rho.nbytes + sampler._lp.nbytes == 16 * (n + 1)
+    assert peak < 17 * n, peak / n
 
 
 def test_draw_path_builds_no_big_table(monkeypatch):
